@@ -17,10 +17,11 @@
 //! - **Batched tick scheduling.** The expensive greedy split runs once
 //!   per *refresh epoch* (about once per control period across the
 //!   whole fleet, i.e. every ~N ticks) instead of once per tick. A
-//!   single ticking job wins a `try_lock` election, gathers the slot
-//!   snapshots, computes the split off every job lock, and publishes a
-//!   new snapshot; everyone else reads the current snapshot and moves
-//!   on.
+//!   single ticking job wins a `try_lock` election, evaluates each
+//!   unfinished job's utility curve once (under that job's own lock,
+//!   one job at a time), splits the budget from those curves off every
+//!   lock, and publishes a new snapshot; everyone else reads the
+//!   current snapshot and moves on.
 //!
 //! Each job still observes the same cadence as under the per-tick
 //! arbiter: its share is recomputed from a fleet-wide view about once
@@ -70,7 +71,7 @@ use jockey_cluster::{ControlDecision, JobController, JobStatus};
 use jockey_simrt::time::SimDuration;
 
 use crate::admission::{AdmissionController, AdmissionError};
-use crate::arbiter::{arbitrate, ArbiterJob};
+use crate::arbiter::{CurveTable, JobView};
 use crate::online::ModelLifecycleStats;
 use crate::predict::CompletionModel;
 use crate::progress::IndicatorContext;
@@ -126,6 +127,16 @@ impl Snapshot {
     }
 }
 
+/// Buffers one refresh fills and the next reuses, owned by the refresh
+/// gate: a refresh in steady state allocates only the snapshot it
+/// publishes.
+#[derive(Default)]
+struct RefreshScratch {
+    /// Slot ids of the unfinished jobs, in curve-table order.
+    active: Vec<usize>,
+    curves: CurveTable,
+}
+
 /// Counters describing how much arbitration work the plane performed.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PlaneStats {
@@ -168,8 +179,11 @@ pub struct PlaneStats {
 pub struct ControlPlane {
     budget: u32,
     /// Slot table: `None` entries are released slots awaiting reuse.
-    /// The outer lock is held only to push/recycle or to iterate shared
-    /// references — never while evaluating models.
+    /// Admission and release take the write lock to push or recycle an
+    /// entry. Every tick holds the read lock for its whole duration,
+    /// including a refresh it runs (which evaluates every job's model),
+    /// so an admission or release arriving mid-refresh waits for that
+    /// refresh to finish.
     slots: RwLock<Vec<Option<Arc<JobSlot>>>>,
     /// Released slot ids, reissued to later admissions.
     free: Mutex<Vec<usize>>,
@@ -180,8 +194,9 @@ pub struct ControlPlane {
     /// The published allocation snapshot.
     snapshot: RwLock<Arc<Snapshot>>,
     /// Refresh election: the ticking job that wins this `try_lock`
-    /// recomputes the split; losers use the current snapshot.
-    refresh_gate: Mutex<()>,
+    /// recomputes the split, in the buffers the gate guards; losers use
+    /// the current snapshot.
+    refresh_gate: Mutex<RefreshScratch>,
     /// Ticks since the last completed refresh.
     ticks_since_refresh: AtomicU64,
     /// Bumped by every deadline change, *after* the slot update. A tick
@@ -234,7 +249,7 @@ impl ControlPlane {
                 alloc: Vec::new(),
                 serial: Vec::new(),
             })),
-            refresh_gate: Mutex::new(()),
+            refresh_gate: Mutex::new(RefreshScratch::default()),
             ticks_since_refresh: AtomicU64::new(0),
             strict_gen: AtomicU64::new(0),
             applied_strict: AtomicU64::new(0),
@@ -601,19 +616,19 @@ impl ControlPlane {
             // `applied_strict` past `goal`, so we refresh again behind
             // it.
             while self.applied_strict.load(Ordering::Acquire) < goal {
-                let _gate = self
+                let mut scratch = self
                     .refresh_gate
                     .lock()
                     .unwrap_or_else(PoisonError::into_inner);
                 if self.applied_strict.load(Ordering::Acquire) < goal {
-                    self.refresh_locked(&slots);
+                    self.refresh_locked(&slots, &mut scratch);
                 }
             }
         } else if due
             || self.applied_forced.load(Ordering::Acquire) < self.forced_gen.load(Ordering::Acquire)
         {
-            if let Ok(_gate) = self.refresh_gate.try_lock() {
-                self.refresh_locked(&slots);
+            if let Ok(mut scratch) = self.refresh_gate.try_lock() {
+                self.refresh_locked(&slots, &mut scratch);
             }
         }
 
@@ -634,54 +649,57 @@ impl ControlPlane {
     /// recording the generations observed *before* gathering so a
     /// change landing mid-refresh leaves `applied_* < *_gen` and forces
     /// a follow-up.
-    fn refresh_locked(&self, slots: &[Option<Arc<JobSlot>>]) {
+    fn refresh_locked(&self, slots: &[Option<Arc<JobSlot>>], scratch: &mut RefreshScratch) {
         let strict = self.strict_gen.load(Ordering::Acquire);
         let forced = self.forced_gen.load(Ordering::Acquire);
         self.ticks_since_refresh.store(0, Ordering::Release);
-        self.refresh(slots);
+        self.refresh(slots, scratch);
         self.applied_strict.store(strict, Ordering::Release);
         self.applied_forced.store(forced, Ordering::Release);
     }
 
     /// Recomputes the greedy split from the current slot snapshots and
-    /// publishes it. Runs while holding only the refresh gate: slot
-    /// locks are taken one at a time to copy state out, and the
-    /// expensive marginal-utility scan touches no lock at all.
-    fn refresh(&self, slots: &[Option<Arc<JobSlot>>]) {
+    /// publishes it. Runs while holding the refresh gate: a first pass
+    /// picks the unfinished jobs (their count bounds every curve's
+    /// length), a second evaluates each one's utility curve into the
+    /// curve table under that job's own lock (one lock at a time), and
+    /// the split itself reads only the table, touching no lock and no
+    /// model.
+    fn refresh(&self, slots: &[Option<Arc<JobSlot>>], scratch: &mut RefreshScratch) {
         self.refreshes.fetch_add(1, Ordering::Relaxed);
-        let mut active = Vec::with_capacity(slots.len());
-        let mut jobs = Vec::with_capacity(slots.len());
+        let RefreshScratch { active, curves } = scratch;
+        active.clear();
         let mut serial = vec![0_u64; slots.len()];
         for (i, slot) in slots.iter().enumerate() {
             let Some(slot) = slot else { continue };
             serial[i] = slot.serial;
-            let s = slot.lock();
-            if s.finished {
-                continue;
+            if !slot.lock().finished {
+                active.push(i);
             }
-            active.push(i);
-            jobs.push(ArbiterJob {
-                model: slot.model.clone(),
-                utility: s.utility.clone(),
+        }
+        // The split needs at least one token per job; when the active
+        // fleet outgrows the budget (possible only through
+        // unconditional `add_job`), the floor over-commits — count it
+        // instead of absorbing it silently.
+        if active.len() as u32 > self.budget {
+            self.over_committed_rounds.fetch_add(1, Ordering::Relaxed);
+        }
+        curves.reset(active.len(), self.budget.max(active.len() as u32));
+        for &i in active.iter() {
+            let slot = slots[i].as_ref().expect("gathered above");
+            let s = slot.lock();
+            curves.push(JobView {
+                model: slot.model.as_ref(),
+                utility: &s.utility,
                 progress: s.progress,
-                stage_fraction: s.stage_fraction.clone(),
+                stage_fraction: &s.stage_fraction,
                 elapsed_secs: s.elapsed_secs,
                 slack: slot.slack,
             });
         }
         let mut alloc = vec![1_u32; slots.len()];
-        if !jobs.is_empty() {
-            // `arbitrate` needs at least one token per job; when the
-            // active fleet outgrows the budget (possible only through
-            // unconditional `add_job`), the floor over-commits — count
-            // it instead of absorbing it silently.
-            if jobs.len() as u32 > self.budget {
-                self.over_committed_rounds.fetch_add(1, Ordering::Relaxed);
-            }
-            let budget = self.budget.max(jobs.len() as u32);
-            for (pos, share) in arbitrate(&jobs, budget).into_iter().enumerate() {
-                alloc[active[pos]] = share;
-            }
+        for (&i, &share) in active.iter().zip(curves.split()) {
+            alloc[i] = share;
         }
         let mut guard = self
             .snapshot
@@ -1269,6 +1287,86 @@ mod tests {
         let stats = plane.stats();
         assert!(stats.over_committed_rounds > 0, "{stats:?}");
         assert_eq!(stats.over_committed_rounds, stats.refreshes, "{stats:?}");
+    }
+
+    #[test]
+    fn published_split_matches_arbitrate_on_the_gathered_jobs() {
+        use crate::arbiter::{arbitrate, ArbiterJob};
+
+        // Refreshes the plane by hand and checks the published snapshot
+        // against the public one-shot split of the same slot states:
+        // every unfinished job's share equals `arbitrate`'s, finished
+        // and vacant ids keep the floor, and every entry carries its
+        // occupant's serial (0 for vacant ids).
+        fn check(plane: &ControlPlane) {
+            let slots = plane.slots.read().unwrap();
+            let mut ids = Vec::new();
+            let mut jobs = Vec::new();
+            for (i, slot) in slots.iter().enumerate() {
+                let Some(slot) = slot else { continue };
+                let s = slot.lock();
+                if !s.finished {
+                    ids.push(i);
+                    jobs.push(ArbiterJob {
+                        model: slot.model.clone(),
+                        utility: s.utility.clone(),
+                        progress: s.progress,
+                        stage_fraction: s.stage_fraction.clone(),
+                        elapsed_secs: s.elapsed_secs,
+                        slack: slot.slack,
+                    });
+                }
+            }
+            let expected = arbitrate(&jobs, plane.budget.max(jobs.len() as u32));
+            plane.refresh_locked(&slots, &mut plane.refresh_gate.lock().unwrap());
+            let snapshot = plane.snapshot.read().unwrap().clone();
+            assert_eq!(snapshot.alloc.len(), slots.len());
+            for (i, slot) in slots.iter().enumerate() {
+                let want = ids
+                    .iter()
+                    .position(|&id| id == i)
+                    .map_or(1, |p| expected[p]);
+                assert_eq!(snapshot.alloc[i], want, "slot {i}: {:?}", snapshot.alloc);
+                let serial = slot.as_ref().map_or(0, |s| s.serial);
+                assert_eq!(snapshot.serial[i], serial, "slot {i}");
+            }
+        }
+
+        let plane = ControlPlane::new(40);
+        let admit = |i: u64| {
+            plane.add_job(
+                Arc::new(Toy {
+                    work: 6_000.0 + 4_000.0 * i as f64,
+                }),
+                toy_indicator(),
+                UtilityFunction::deadline(SimDuration::from_mins(20 + 7 * (i % 5))),
+                1.0 + 0.05 * i as f64,
+            )
+        };
+        let mut handles: Vec<JobHandle> = (0..9).map(admit).collect();
+        for (i, h) in handles.iter_mut().enumerate() {
+            h.tick(&status(1, 0.04 * i as f64, 2));
+        }
+        check(&plane);
+
+        // Churn: two releases, three admissions (two onto recycled ids,
+        // one appended), a deadline change and a job marked finished
+        // whose slot is still held.
+        let freed = [handles.remove(6).id(), handles.remove(2).id()];
+        for i in 9..12 {
+            handles.push(admit(i));
+        }
+        let reissued: Vec<usize> = handles[7..].iter().map(JobHandle::id).collect();
+        assert!(freed.iter().all(|id| reissued.contains(id)), "{reissued:?}");
+        for (i, h) in handles.iter_mut().enumerate() {
+            h.tick(&status(3, 0.1 + 0.03 * i as f64, 3));
+        }
+        handles[4].deadline_changed(SimDuration::from_mins(12));
+        {
+            let slots = plane.slots.read().unwrap();
+            slots[handles[1].id()].as_ref().unwrap().lock().finished = true;
+        }
+        check(&plane);
     }
 
     /// [`Toy`] with a straggler tail the speculative surface removes.

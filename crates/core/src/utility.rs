@@ -84,6 +84,16 @@ impl UtilityFunction {
         u1 + (u1 - u0) / (t1 - t0) * (t_secs - t1)
     }
 
+    /// The most this function can ever return, when it never rises
+    /// with completion time (each knot's utility at most the one
+    /// before, as for [`UtilityFunction::deadline`]): the first knot's
+    /// value, which no evaluation exceeds, rounding included. `None`
+    /// for any other shape.
+    pub(crate) fn ceiling(&self) -> Option<f64> {
+        let k = &self.knots;
+        k.windows(2).all(|w| w[1].1 <= w[0].1).then(|| k[0].1)
+    }
+
     /// A copy shifted left by `shift`: `U'(t) = U(t + shift)`. This is
     /// how the control loop's dead zone tightens the deadline (§4.3).
     pub fn shifted_left(&self, shift: SimDuration) -> Self {
@@ -184,6 +194,17 @@ mod tests {
         assert_eq!(u.eval(-5.0), 10.0);
         assert_eq!(u.eval(50.0), 5.0);
         assert_eq!(u.eval(100.0), 0.0);
+    }
+
+    #[test]
+    fn ceiling_bounds_non_increasing_shapes_only() {
+        let u = UtilityFunction::deadline(SimDuration::from_mins(45));
+        assert_eq!(u.ceiling(), Some(1.0));
+        assert!((0..400).all(|i| u.eval(i as f64 * 37.3) <= 1.0));
+        let rising = UtilityFunction::from_knots(vec![(0.0, 0.0), (100.0, 5.0)]);
+        assert_eq!(rising.ceiling(), None);
+        let bumpy = UtilityFunction::from_knots(vec![(0.0, 1.0), (10.0, 0.0), (20.0, 2.0)]);
+        assert_eq!(bumpy.ceiling(), None);
     }
 
     #[test]

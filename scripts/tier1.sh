@@ -5,6 +5,9 @@ cd "$(dirname "$0")/.."
 
 cargo build --workspace --release
 cargo test --workspace -q
+# The benchmark's own tests: its grant audit and the check that the
+# traced run's timing decorators leave every result bit-identical.
+cargo test --offline --manifest-path slobench/Cargo.toml -q
 cargo clippy --workspace --all-targets -- -D warnings
 cargo fmt --all --check
 # Benches must keep compiling (full runs stay manual; see
