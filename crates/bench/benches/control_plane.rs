@@ -1,14 +1,10 @@
 //! Multi-job control-path benchmarks: the per-tick cost of serving a
 //! fleet of SLO jobs from one shared token budget.
 //!
-//! Two runtimes compute the same greedy marginal-utility split:
-//!
-//! - `shared_arbiter`: the live `SharedArbiter`, which holds a single
-//!   global `Mutex` over all job slots and re-runs the O(jobs × budget)
-//!   split inside that lock on **every** tick;
-//! - `plane`: the sharded `ControlPlane`, which re-runs the split once
-//!   per refresh epoch (~once per control round) and serves every other
-//!   tick from an atomically-swapped allocation snapshot.
+//! `plane` drives the sharded `ControlPlane`, which re-runs the greedy
+//! marginal-utility split once per refresh epoch (~once per control
+//! round) and serves every other tick from an atomically-swapped
+//! allocation snapshot.
 //!
 //! Each benchmark iteration drives one whole control round (every job
 //! ticks once), so ticks/sec is the fleet size divided by the mean
@@ -28,13 +24,13 @@ use jockey_core::alloc::{AllocationPolicy, ArgminPolicy, SpeculationLevel, Specu
 use jockey_core::predict::CompletionModel;
 use jockey_core::progress::{IndicatorContext, ProgressIndicator};
 use jockey_core::utility::UtilityFunction;
-use jockey_core::{ControlPlane, SharedArbiter};
+use jockey_core::ControlPlane;
 use jockey_jobgraph::graph::JobGraphBuilder;
 use jockey_jobgraph::profile::ProfileBuilder;
 use jockey_simrt::time::{SimDuration, SimTime};
 
 /// Closed-form model: `remaining = work · (1 − p) / a`. Keeps each
-/// utility evaluation cheap so the benchmark isolates the runtimes'
+/// utility evaluation cheap so the benchmark isolates the plane's
 /// locking and batching structure rather than model cost.
 struct Toy {
     work: f64,
@@ -90,40 +86,18 @@ fn budget_for(jobs: usize) -> u32 {
 fn bench_control_plane(c: &mut Criterion) {
     // JOCKEY_BENCH_SMOKE=1 (set by scripts/tier1.sh) trims the sweep
     // to the small fleets with minimal sampling: enough to exercise
-    // both runtimes end to end without the ~500 ms/round 256-job
-    // baseline dominating the CI gate.
+    // the plane end to end in the CI gate.
     let smoke = std::env::var_os("JOCKEY_BENCH_SMOKE").is_some();
     let fleets: &[usize] = if smoke { &[1, 16] } else { &[1, 16, 256] };
 
     let mut group = c.benchmark_group("control_plane");
-    // Each 256-job arbiter round is O(jobs² × budget); keep sampling
-    // bounded so the full sweep stays in CI-friendly time.
+    // Keep sampling bounded so the full sweep stays in CI-friendly
+    // time.
     group.sample_size(if smoke { 3 } else { 10 });
 
     // One iteration = one control round (n ticks), so ticks/sec is
     // n / mean-iteration-time.
     for &n in fleets {
-        // Baseline: one global lock, full re-arbitration per tick.
-        let arbiter = SharedArbiter::new(budget_for(n));
-        let mut arb_handles: Vec<_> = (0..n)
-            .map(|i| {
-                arbiter.register(
-                    Arc::new(Toy { work: 36_000.0 }) as Arc<dyn CompletionModel>,
-                    toy_indicator(),
-                    UtilityFunction::deadline(SimDuration::from_mins(deadline_mins(i))),
-                    1.0,
-                )
-            })
-            .collect();
-        let st = status(5, 0.25, 4);
-        group.bench_function(BenchmarkId::new("shared_arbiter", n), |b| {
-            b.iter(|| {
-                for h in &mut arb_handles {
-                    std::hint::black_box(h.tick(&st));
-                }
-            });
-        });
-
         // Sharded plane: per-job slots, amortized snapshot refresh.
         let plane = ControlPlane::new(budget_for(n));
         let mut plane_handles: Vec<_> = (0..n)
@@ -136,6 +110,7 @@ fn bench_control_plane(c: &mut Criterion) {
                 )
             })
             .collect();
+        let st = status(5, 0.25, 4);
         group.bench_function(BenchmarkId::new("plane", n), |b| {
             b.iter(|| {
                 for h in &mut plane_handles {

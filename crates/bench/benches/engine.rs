@@ -101,13 +101,6 @@ fn bench_train_one_model(c: &mut Criterion) {
     g.bench_function("train_one_model", |b| {
         b.iter(|| CpaModel::train(&job.graph, &profile, &ctx, &cfg, 9));
     });
-    // The dense kernel: identical workload and grid, but all
-    // allocations simulated off one shared event stream per run
-    // (common random numbers + fork-at-divergence) instead of one
-    // full cluster simulation per (allocation, run) pair.
-    g.bench_function("train_one_model_batched", |b| {
-        b.iter(|| CpaModel::train_batched(&job.graph, &profile, &ctx, &cfg, 9));
-    });
     g.finish();
 }
 

@@ -2,7 +2,6 @@
 
 use std::fmt;
 
-use jockey_simrt::event::QueueBackend;
 use jockey_simrt::time::{SimDuration, SimTime};
 
 /// Background-load process parameters (see [`crate::background`]).
@@ -218,12 +217,6 @@ pub struct ClusterConfig {
     pub failures: FailureConfig,
     /// Hard stop: jobs not finished by then are reported incomplete.
     pub max_sim_time: SimTime,
-    /// Event-queue data structure. All backends produce identical
-    /// event streams. The adaptive default starts on the heap (fastest
-    /// at sparse occupancy) and promotes itself to the calendar ladder
-    /// at dense occupancy, so neither regime pays a tax; the explicit
-    /// backends remain for the benches to A/B against.
-    pub queue_backend: QueueBackend,
 }
 
 impl ClusterConfig {
@@ -243,7 +236,6 @@ impl ClusterConfig {
             background: BackgroundConfig::none(),
             failures: FailureConfig::none(),
             max_sim_time: SimTime::from_mins(24 * 60),
-            queue_backend: QueueBackend::Adaptive,
         }
     }
 
@@ -279,7 +271,6 @@ impl ClusterConfig {
             background: BackgroundConfig::production(),
             failures: FailureConfig::production(),
             max_sim_time: SimTime::from_mins(24 * 60),
-            queue_backend: QueueBackend::Adaptive,
         }
     }
 

@@ -936,7 +936,7 @@ impl Engine {
         let seeds = SeedDeriver::new(seed);
         let background = BackgroundModel::new(cfg.background.clone(), seeds.rng("background"));
         let failure = DefaultFailureModel::new(seeds.rng("machine-failures"));
-        let queue = EventQueue::with_backend(cfg.queue_backend);
+        let queue = EventQueue::new();
         let topology = cfg.topology.as_ref().map(ClusterTopology::build);
         Engine {
             core: EngineCore {
@@ -975,12 +975,8 @@ impl Engine {
         if let Some(mut queue) = ws.event_queue.take() {
             // Reset rewinds time and the sequence counter to a fresh
             // queue's state while keeping the allocated bucket storage.
-            // A pooled queue on a different backend than this config
-            // asks for is dropped instead.
-            if queue.backend() == engine.core.cfg.queue_backend {
-                queue.reset();
-                engine.core.queue = queue;
-            }
+            queue.reset();
+            engine.core.queue = queue;
         }
         engine
     }

@@ -7,9 +7,8 @@
 //! results*: task state, RNG streams, results, traces and progress
 //! samples all match per-event stepping — only observer/journal line
 //! interleaving may differ. These tests pin that contract across
-//! random DAGs, seeds, queue backends, a rack topology and a
-//! multi-job cluster, comparing everything a run returns except
-//! journals.
+//! random DAGs, seeds, a rack topology and a multi-job cluster,
+//! comparing everything a run returns except journals.
 
 use std::sync::Arc;
 
@@ -18,7 +17,6 @@ use jockey_cluster::{
 };
 use jockey_jobgraph::graph::{EdgeKind, JobGraph, JobGraphBuilder};
 use jockey_simrt::dist::{Constant, LogNormal};
-use jockey_simrt::event::QueueBackend;
 use jockey_simrt::observe::ProgressSink;
 use proptest::prelude::*;
 
@@ -132,19 +130,17 @@ fn assert_equivalent(cfg: &ClusterConfig, specs: &[(JobSpec, u32)], seed: u64) {
 
 /// The dense training regime: a dedicated failure-prone cluster where
 /// the gate holds and batches actually form.
-fn training_cfg(backend: QueueBackend) -> ClusterConfig {
-    let mut cfg = ClusterConfig::dedicated_with_failures(8);
-    cfg.queue_backend = backend;
-    cfg
+fn training_cfg() -> ClusterConfig {
+    ClusterConfig::dedicated_with_failures(8)
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// Batched == reference over random DAGs, seeds and failure rates
-    /// on every queue backend, in the gated (dedicated) regime where
-    /// same-instant completion batches actually form (constant
-    /// runtimes make whole stage waves finish at one instant).
+    /// in the gated (dedicated) regime where same-instant completion
+    /// batches actually form (constant runtimes make whole stage waves
+    /// finish at one instant).
     #[test]
     fn batched_matches_reference_dense(
         graph in arb_graph(),
@@ -152,9 +148,7 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let spec = JobSpec::uniform(graph, Constant(4.0), Constant(0.2), fail_prob);
-        for backend in [QueueBackend::BinaryHeap, QueueBackend::Bucketed, QueueBackend::Adaptive] {
-            assert_equivalent(&training_cfg(backend), &[(spec.clone(), 8)], seed);
-        }
+        assert_equivalent(&training_cfg(), &[(spec, 8)], seed);
     }
 
     /// Batched == reference with jittered runtimes (batches are rarer
@@ -173,7 +167,7 @@ proptest! {
             0.05,
         );
         let b = JobSpec::uniform(graph_b, Constant(5.0), Constant(0.0), 0.0);
-        let cfg = training_cfg(QueueBackend::Adaptive);
+        let cfg = training_cfg();
         assert_equivalent(&cfg, &[(a, 5), (b, 3)], seed);
     }
 
@@ -211,7 +205,7 @@ fn batching_is_inert_on_topology() {
     let graph = Arc::new(b.build().unwrap());
     let spec = JobSpec::uniform(graph, Constant(6.0), Constant(0.3), 0.05);
     for seed in [1_u64, 9, 42, 1234] {
-        let mut cfg = training_cfg(QueueBackend::Adaptive);
+        let mut cfg = training_cfg();
         cfg.topology = Some(TopologyConfig::google_mix(2));
         assert_equivalent(&cfg, &[(spec.clone(), 8)], seed);
     }

@@ -12,7 +12,6 @@ use jockey_cluster::{
 };
 use jockey_jobgraph::graph::{EdgeKind, JobGraph, JobGraphBuilder};
 use jockey_simrt::dist::{Constant, Dist, LogNormal};
-use jockey_simrt::event::QueueBackend;
 use proptest::prelude::*;
 
 /// Random fork/chain DAGs (same shape family as `props.rs`).
@@ -86,9 +85,9 @@ proptest! {
     /// `CloneOnSlow` policy) is event-for-event identical — the whole
     /// journal, every dispatched event and transition in order — to an
     /// engine with speculation explicitly replaced by `NoSpeculation`,
-    /// across random DAGs, seeds, noisy configs and all three queue
-    /// backends. This pins the bit-identical contract: an inert
-    /// speculation seam leaves no trace in the event stream.
+    /// across random DAGs, seeds and noisy configs. This pins the
+    /// bit-identical contract: an inert speculation seam leaves no
+    /// trace in the event stream.
     #[test]
     fn speculation_off_is_event_for_event_identical(
         graph in arb_graph(),
@@ -101,16 +100,13 @@ proptest! {
             Constant(0.2),
             fail_prob,
         );
-        for backend in [QueueBackend::BinaryHeap, QueueBackend::Bucketed, QueueBackend::Adaptive] {
-            let mut cfg = ClusterConfig::production();
-            cfg.total_tokens = 24;
-            cfg.max_guarantee = 8;
-            cfg.queue_backend = backend;
-            let (jd, rd) = journal_run(&cfg, &spec, 6, seed, false);
-            let (jn, rn) = journal_run(&cfg, &spec, 6, seed, true);
-            prop_assert_eq!(rd, rn, "results diverged on {:?}", backend);
-            prop_assert_eq!(jd, jn, "journals diverged on {:?}", backend);
-        }
+        let mut cfg = ClusterConfig::production();
+        cfg.total_tokens = 24;
+        cfg.max_guarantee = 8;
+        let (jd, rd) = journal_run(&cfg, &spec, 6, seed, false);
+        let (jn, rn) = journal_run(&cfg, &spec, 6, seed, true);
+        prop_assert_eq!(rd, rn, "results diverged");
+        prop_assert_eq!(jd, jn, "journals diverged");
     }
 }
 

@@ -282,15 +282,14 @@ impl ProgressSink for SampleCollector<'_> {
     }
 }
 
-/// The samples harvested from one simulated training run (shared with
-/// the dense shared-stream kernel in [`crate::dense`]).
-pub(crate) struct RunHarvest {
+/// The samples harvested from one simulated training run.
+struct RunHarvest {
     /// `(elapsed_secs, progress)` pairs at each control tick.
-    pub(crate) samples: Vec<(f64, f64)>,
+    samples: Vec<(f64, f64)>,
     /// Completion time, horizon-censored for runs that never finished.
-    pub(crate) total_secs: f64,
+    total_secs: f64,
     /// Whether the run actually completed within the horizon.
-    pub(crate) completed: bool,
+    completed: bool,
 }
 
 /// The trained `C(p, a)` table.
@@ -457,121 +456,6 @@ impl CpaModel {
                 model.fold_run(&obs, run.total_secs, completed_alloc, None);
             }
         }
-        model.build_table();
-        model
-    }
-
-    /// Trains the model through the dense shared-stream kernel
-    /// ([`crate::dense`]): one multi-allocation simulation per run
-    /// index covers the *whole* allocation grid, with per-allocation
-    /// state forked only at fill divergence points and every task
-    /// attempt consuming common random numbers across allocations.
-    ///
-    /// Statistically this estimates the same `C(p, a)` table as
-    /// [`CpaModel::train`] — same grid, bins, percentile, horizon
-    /// censoring, absorb order — but it is a *different deterministic
-    /// estimator*: its RNG schedule is keyed per task slot (stream
-    /// `"cpa-train-batched"`) rather than per `(allocation, run)`
-    /// simulation, so the two tables are not byte-identical. The
-    /// common-random-numbers coupling is a feature beyond speed: within
-    /// one run, completion time is monotone in allocation, so the
-    /// trained fresh-latency column is far less likely to need the
-    /// non-monotone fallback scan.
-    ///
-    /// The kernel models the flat dedicated training cluster only;
-    /// a config with a `topology` or a `speculation` policy falls back
-    /// to [`CpaModel::train`] (which simulates the full placement and
-    /// clone-on-slow machinery). Where [`train`]
-    /// parallelizes over the allocation grid, this path has already
-    /// amortized the grid into single runs — so `threads` shards the
-    /// *run* indices instead. Each run's variates are keyed by its run
-    /// index alone, so the trained cells are byte-identical for any
-    /// thread count.
-    ///
-    /// [`train`]: CpaModel::train
-    ///
-    /// # Panics
-    ///
-    /// Panics on an invalid [`TrainConfig`].
-    pub fn train_batched(
-        graph: &Arc<JobGraph>,
-        profile: &JobProfile,
-        indicator: &IndicatorContext,
-        cfg: &TrainConfig,
-        seed: u64,
-    ) -> Self {
-        cfg.validate();
-        if cfg.topology.is_some() || cfg.speculation.is_some() {
-            return Self::train(graph, profile, indicator, cfg, seed);
-        }
-        let seeds = SeedDeriver::new(seed).child("cpa-train-batched");
-        let spec = JobSpec::from_profile(graph.clone(), profile);
-        let job = crate::dense::DenseJob::new(&spec.graph);
-        let horizon = cfg.max_sim_time.as_secs_f64();
-        let period = cfg.sample_period.as_secs_f64();
-
-        // One shared-stream simulation per run index covers every
-        // allocation. Runs are sharded into contiguous chunks, one
-        // worker thread per chunk; a single shard runs inline so a
-        // 1-core machine pays no spawn/join jitter.
-        let n_runs = cfg.runs_per_allocation;
-        let threads = cfg.threads.unwrap_or_else(default_threads).clamp(1, n_runs);
-        let chunk = n_runs.div_ceil(threads);
-        let mut run_harvests: Vec<Vec<RunHarvest>> = Vec::new();
-        run_harvests.resize_with(n_runs, Vec::new);
-        let shard = |ci: usize, chunk_harvests: &mut [Vec<RunHarvest>]| {
-            for (k, harvest) in chunk_harvests.iter_mut().enumerate() {
-                let run = ci * chunk + k;
-                let mut vars = crate::dense::SharedVariates::new(
-                    &spec,
-                    &job,
-                    seeds.child_indexed("run", run as u64),
-                );
-                *harvest = crate::dense::simulate_run(
-                    &job,
-                    indicator,
-                    &cfg.allocations,
-                    period,
-                    horizon,
-                    &mut vars,
-                );
-            }
-        };
-        if threads == 1 {
-            shard(0, &mut run_harvests);
-        } else {
-            std::thread::scope(|scope| {
-                for (ci, chunk_harvests) in run_harvests.chunks_mut(chunk).enumerate() {
-                    let shard = &shard;
-                    scope.spawn(move || shard(ci, chunk_harvests));
-                }
-            });
-        }
-
-        // Absorb all runs in one pass: a sketch cell's contents depend
-        // on its sample multiset, so staging every harvested
-        // observation into one globally sorted buffer replaces the
-        // per-run folds `train` performs — fewer, larger sorted merges
-        // into each cell.
-        let mut model = CpaModel::empty_unbuilt(cfg);
-        let mut staged: Vec<((usize, usize), f64)> = Vec::new();
-        for harvests in &run_harvests {
-            for (ai, run) in harvests.iter().enumerate() {
-                let cell = model.grid_index_nearest(cfg.allocations[ai]);
-                staged.extend(run.samples.iter().map(|&(t, p)| {
-                    (
-                        (cell, progress_bin(p, model.bins)),
-                        (run.total_secs - t).max(0.0),
-                    )
-                }));
-                // Completion itself: zero remaining at full progress.
-                if run.completed {
-                    staged.push(((cell, model.bins - 1), 0.0));
-                }
-            }
-        }
-        staged.sort_by(|x, y| x.0.cmp(&y.0).then(x.1.total_cmp(&y.1)));
-        model.absorb_staged(&staged, None);
         model.build_table();
         model
     }
@@ -1361,81 +1245,6 @@ mod tests {
         let auto = with_threads(None);
         assert_eq!(one.cells, three.cells, "1 thread vs 3 threads");
         assert_eq!(one.cells, auto.cells, "1 thread vs one-per-allocation");
-    }
-
-    #[test]
-    fn train_batched_is_deterministic_and_thread_independent() {
-        let (graph, profile) = fixture();
-        let ind = IndicatorContext::new(ProgressIndicator::TotalWorkWithQ, &graph, &profile, None);
-        let with_threads = |threads: Option<usize>| {
-            let mut cfg = TrainConfig::fast(vec![2, 4, 8]);
-            cfg.threads = threads;
-            CpaModel::train_batched(&graph, &profile, &ind, &cfg, 7)
-        };
-        let one = with_threads(Some(1));
-        let again = with_threads(Some(1));
-        let four = with_threads(Some(4));
-        let auto = with_threads(None);
-        assert_eq!(one.cells, again.cells, "same seed must reproduce");
-        assert_eq!(one.cells, four.cells, "1 thread vs one-per-run");
-        assert_eq!(one.cells, auto.cells, "1 thread vs machine default");
-        assert_eq!(one.table, auto.table);
-    }
-
-    /// The batched path is a *different* deterministic estimator (its
-    /// RNG schedule is per task slot, not per (allocation, run) sim),
-    /// so its table is not byte-identical to `train`'s — but it must
-    /// estimate the same quantity: fresh latency close to `train`'s at
-    /// every grid allocation, monotone in allocation thanks to the
-    /// common-random-numbers coupling.
-    #[test]
-    fn train_batched_estimates_match_train_statistically() {
-        let (graph, profile) = fixture();
-        let ind = IndicatorContext::new(ProgressIndicator::TotalWorkWithQ, &graph, &profile, None);
-        let cfg = TrainConfig::fast(vec![2, 4, 8]);
-        let reference = CpaModel::train(&graph, &profile, &ind, &cfg, 42);
-        let batched = CpaModel::train_batched(&graph, &profile, &ind, &cfg, 42);
-        assert!(batched.sample_count() > 20);
-        for &a in &[2_u32, 4, 8] {
-            let (r, b) = (reference.fresh_latency(a), batched.fresh_latency(a));
-            assert!(
-                (b - r).abs() / r < 0.35,
-                "allocation {a}: batched {b} vs reference {r}"
-            );
-        }
-        assert!(batched.fresh_latency(2) > batched.fresh_latency(4));
-        assert!(batched.fresh_latency(4) > batched.fresh_latency(8));
-    }
-
-    /// A topology config is outside the dense kernel's flat-cluster
-    /// model; `train_batched` must fall back to the full `train` path,
-    /// bit for bit.
-    #[test]
-    fn train_batched_topology_falls_back_to_train() {
-        let (graph, profile) = fixture();
-        let ind = IndicatorContext::new(ProgressIndicator::TotalWorkWithQ, &graph, &profile, None);
-        let mut cfg = TrainConfig::fast(vec![2, 4, 8]);
-        cfg.topology = Some(jockey_cluster::TopologyConfig::google_mix(2));
-        let reference = CpaModel::train(&graph, &profile, &ind, &cfg, 11);
-        let batched = CpaModel::train_batched(&graph, &profile, &ind, &cfg, 11);
-        assert_eq!(reference.cells, batched.cells);
-        assert_eq!(reference.table, batched.table);
-    }
-
-    /// A speculation config is likewise outside the dense kernel's
-    /// model (clone launches and kill-on-first-finish are per-event
-    /// mechanics); `train_batched` must fall back to the full `train`
-    /// path, bit for bit.
-    #[test]
-    fn train_batched_speculation_falls_back_to_train() {
-        let (graph, profile) = fixture();
-        let ind = IndicatorContext::new(ProgressIndicator::TotalWorkWithQ, &graph, &profile, None);
-        let mut cfg = TrainConfig::fast(vec![2, 4, 8]);
-        cfg.speculation = Some(jockey_cluster::SpeculationConfig::clone_on_slow(2.0, 2));
-        let reference = CpaModel::train(&graph, &profile, &ind, &cfg, 11);
-        let batched = CpaModel::train_batched(&graph, &profile, &ind, &cfg, 11);
-        assert_eq!(reference.cells, batched.cells);
-        assert_eq!(reference.table, batched.table);
     }
 
     /// A profile with a genuine straggler tail: most map attempts take

@@ -10,12 +10,12 @@
 //! the whole control period or more) has lost predictive power. After
 //! `trigger_ticks` consecutive large slips, the layer abandons the
 //! model and pins a configured fair-share guarantee for the rest of the
-//! job.
+//! job. Guard a controller with
+//! `Layered::new(inner).with(Box::new(FallbackLayer::new(..)))`.
 
-use jockey_cluster::{ControlDecision, JobController, JobStatus};
+use jockey_cluster::{ControlDecision, JobStatus};
 
-use crate::control::JockeyController;
-use crate::layer::{ControlLayer, Layered};
+use crate::layer::ControlLayer;
 
 /// The §5.6 fallback policy as a stackable [`ControlLayer`].
 pub struct FallbackLayer {
@@ -105,29 +105,22 @@ impl ControlLayer for FallbackLayer {
     }
 }
 
-/// Wraps a controller with the §5.6 fallback policy (kept as a named
-/// convenience; any stack order via [`Layered::with`] works too).
-pub fn with_fallback<C: JobController>(
-    inner: C,
-    fair_share: u32,
-    slip_tolerance: f64,
-    trigger_ticks: u32,
-) -> Layered<C> {
-    Layered::new(inner).with(Box::new(FallbackLayer::new(
-        fair_share,
-        slip_tolerance,
-        trigger_ticks,
-    )))
-}
-
-/// The historical guarded-Jockey shape: a [`JockeyController`] under a
-/// [`FallbackLayer`].
-pub type GuardedController = Layered<JockeyController>;
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::layer::Layered;
+    use jockey_cluster::JobController;
     use jockey_simrt::time::{SimDuration, SimTime};
+
+    /// `inner` under a [`FallbackLayer`].
+    pub(super) fn guarded<C: JobController>(
+        inner: C,
+        fair_share: u32,
+        tol: f64,
+        ticks: u32,
+    ) -> Layered<C> {
+        Layered::new(inner).with(Box::new(FallbackLayer::new(fair_share, tol, ticks)))
+    }
 
     /// A controller whose completion estimate recedes forever (a
     /// maximally wrong model).
@@ -181,7 +174,7 @@ mod tests {
 
     #[test]
     fn persistent_slips_trigger_fallback() {
-        let mut g = with_fallback(Slipping { pred: 0.0 }, 7, 1.5, 3);
+        let mut g = guarded(Slipping { pred: 0.0 }, 7, 1.5, 3);
         for minute in 0..3 {
             let d = g.tick(&status(minute));
             assert_eq!(d.guarantee, 50, "minute {minute} fell back early");
@@ -197,7 +190,7 @@ mod tests {
 
     #[test]
     fn stable_predictions_never_fall_back() {
-        let mut g = with_fallback(Stable, 7, 1.5, 3);
+        let mut g = guarded(Stable, 7, 1.5, 3);
         for minute in 0..50 {
             let d = g.tick(&status(minute));
             assert_eq!(d.guarantee, 50);
@@ -209,7 +202,7 @@ mod tests {
     fn initial_decision_bypasses_the_guard() {
         // Admission-time sizing carries no slip signal; the layer's
         // after_initial hook is a pass-through and records nothing.
-        let mut g = with_fallback(Slipping { pred: 0.0 }, 7, 1.5, 1);
+        let mut g = guarded(Slipping { pred: 0.0 }, 7, 1.5, 1);
         let d = g.initial(&status(0));
         assert_eq!(d.guarantee, 50);
         assert!(!fallen_back(&g));
@@ -236,7 +229,7 @@ mod tests {
                 }
             }
         }
-        let mut g = with_fallback(
+        let mut g = guarded(
             Alternating {
                 pred: 0.0,
                 up: false,
@@ -254,7 +247,9 @@ mod tests {
 
 #[cfg(test)]
 mod release_tests {
+    use super::tests::guarded;
     use super::*;
+    use jockey_cluster::JobController;
     use jockey_simrt::time::{SimDuration, SimTime};
 
     /// A healthy controller releasing tokens: each tick the guarantee
@@ -293,7 +288,7 @@ mod release_tests {
 
     #[test]
     fn healthy_releases_do_not_trip_the_guard() {
-        let mut g = with_fallback(
+        let mut g = guarded(
             Releasing {
                 guarantee: 200,
                 pred: 1_000.0,

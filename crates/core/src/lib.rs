@@ -25,9 +25,8 @@
 //! - [`conditioner`]: §4.3's conditioning mechanisms (slack, dead-zone
 //!   gate, hysteresis EWMA, min clamp) as **composable stages** with
 //!   per-stage trace attribution.
-//! - [`layer`]: the **control-layer middleware** seam — fallback,
-//!   recalibration and arbitration stack as decorators over any
-//!   controller.
+//! - [`layer`]: the **control-layer middleware** seam — fallback and
+//!   recalibration stack as decorators over any controller.
 //! - [`plane`]: the **multi-job control plane**: N concurrent SLO jobs
 //!   against one shared budget with sharded slots and an atomic
 //!   snapshot instead of a global lock.
@@ -37,10 +36,9 @@
 //! - [`oracle`]: the oracle allocation `O(T, d) = ceil(T/d)` impact
 //!   baseline (§5.1).
 //! - [`admission`]: SLO admission control ("does this job fit?", §1).
-//! - [`arbiter`]: the multi-job marginal-utility arbiter (§4.4's
-//!   future work) — both one-shot [`arbiter::arbitrate`] splits and the
-//!   live [`arbiter::SharedArbiter`] that coordinates concurrent
-//!   controllers against one budget.
+//! - [`arbiter`]: the multi-job marginal-utility split (§4.4's future
+//!   work) — one-shot [`arbiter::arbitrate`] splits, which the
+//!   [`plane`] recomputes live for its concurrent controllers.
 //! - [`fallback`]: the §5.6 fair-share fallback guard on persistent
 //!   model error.
 //! - [`recal`]: §4.4/§5.6 online model recalibration (runtime
@@ -65,7 +63,6 @@ pub mod arbiter;
 pub mod conditioner;
 pub mod control;
 pub mod cpa;
-mod dense;
 pub mod fallback;
 pub mod layer;
 pub mod online;
@@ -82,7 +79,6 @@ pub use admission::{AdmissionController, AdmissionError, Reservation};
 pub use alloc::{
     AllocationPolicy, ArgminPolicy, SpeculationLevel, SpeculativeArgmin, SpeculativeDecision,
 };
-pub use arbiter::{ArbitratedController, ArbitrationLayer, SharedArbiter};
 pub use conditioner::{
     ConditionStage, ConditionerPipeline, DeadZoneGate, HysteresisEwma, MinClamp, PipelineTrace,
     SlackStage, StageCtx, StageStep, TickAttribution,
@@ -91,7 +87,7 @@ pub use control::{
     ControlParams, ControlTick, ControlTrace, InvalidControlParams, JockeyController,
 };
 pub use cpa::{CpaModel, InvalidTrainConfig, ModelLoadError, RunObservation, TrainConfig};
-pub use fallback::{with_fallback, FallbackLayer, GuardedController};
+pub use fallback::FallbackLayer;
 pub use layer::{ControlLayer, Layered};
 pub use online::{
     structure_hash, AbsorbOutcome, DriftConfig, DriftDetector, ModelHandle, ModelLifecycleStats,
@@ -102,6 +98,6 @@ pub use plane::{ControlPlane, JobHandle, PlaneStats};
 pub use policy::Policy;
 pub use predict::{min_feasible_allocation, AmdahlModel, CompletionModel};
 pub use progress::{IndicatorContext, ProgressIndicator};
-pub use recal::{recalibrated, RecalibratingController, RecalibrationLayer, ScaledModel};
+pub use recal::{recalibrated, RecalibrationLayer, ScaledModel};
 pub use sketch::CellSketch;
 pub use utility::UtilityFunction;

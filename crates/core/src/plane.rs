@@ -1,12 +1,11 @@
 //! A multi-job control plane: N concurrent SLO jobs against one shared
 //! token budget, without a global lock.
 //!
-//! The live [`SharedArbiter`](crate::arbiter::SharedArbiter) keeps all
-//! job state behind one `Mutex<Vec<Slot>>` and re-runs the greedy
-//! marginal-utility split *inside that lock on every tick* — at N jobs
-//! that is O(N · budget) model evaluations serialized N times per
-//! control period. [`ControlPlane`] restructures the same decision
-//! into a scalable runtime:
+//! Re-running the greedy marginal-utility split
+//! ([`arbitrate`](crate::arbiter::arbitrate)) for every job on every
+//! tick, behind one lock over all job state, would cost O(N · budget)
+//! model evaluations serialized N times per control period.
+//! [`ControlPlane`] makes the same decision scalable:
 //!
 //! - **Sharded per-job slots.** Each job's state snapshot lives behind
 //!   its own small `Mutex`; a tick touches only its own slot, so jobs
@@ -23,10 +22,9 @@
 //!   lock, and publishes a new snapshot; everyone else reads the
 //!   current snapshot and moves on.
 //!
-//! Each job still observes the same cadence as under the per-tick
-//! arbiter: its share is recomputed from a fleet-wide view about once
-//! per control period. [`JobHandle`] implements `JobController` (with
-//! the same hysteresis smoothing as the arbitrated controller), so
+//! Each job's share is still recomputed from a fleet-wide view about
+//! once per control period. [`JobHandle`] implements `JobController`
+//! (smoothing its raw share with the §4.3 loop's hysteresis), so
 //! plane-managed jobs drop into `ClusterSim` or a real scheduler
 //! unchanged.
 //!
@@ -600,8 +598,8 @@ impl ControlPlane {
 
         // One refresh per epoch: an epoch is one tick per *active* job,
         // so each job sees a fleet-fresh split about once per control
-        // period — the same cadence the per-tick arbiter provides, at
-        // 1/N of the arbitration cost.
+        // period — the cadence of a per-tick split, at 1/N of its
+        // arbitration cost.
         let epoch = self.active.load(Ordering::Relaxed).max(1);
         let due = self.ticks_since_refresh.fetch_add(1, Ordering::AcqRel) >= epoch - 1;
         // `goal` is the newest deadline change this tick has observed;
@@ -724,8 +722,9 @@ impl ControlPlane {
     }
 }
 
-/// Hysteresis coefficient applied to the plane's raw shares (same as
-/// the per-tick arbitrated controller).
+/// Hysteresis coefficient applied to the plane's raw shares: without
+/// it, jobs with near-equal marginal utilities would swap tokens every
+/// tick, and each swing demotes or evicts running tasks.
 const PLANE_HYSTERESIS: f64 = 0.3;
 
 /// A per-job `JobController` served by a [`ControlPlane`].
@@ -1499,7 +1498,7 @@ mod tests {
     #[test]
     fn plane_managed_jobs_share_a_cluster_budget() {
         // End-to-end: two trained jobs run concurrently in ClusterSim
-        // under one plane, as in the SharedArbiter test.
+        // under one plane.
         let trained_job = |seed: u64| {
             let mut b = JobGraphBuilder::new(format!("plane-{seed}"));
             let m = b.stage("map", 24);
@@ -1545,6 +1544,13 @@ mod tests {
         let l2 = results[i2].duration().expect("job 2 finished");
         assert!(l1 <= d1, "tight job missed: {l1:?} vs {d1:?}");
         assert!(l2 <= d2, "loose job missed: {l2:?} vs {d2:?}");
+        // The tight job got the larger share while both ran.
+        assert!(
+            results[i1].trace.median_guarantee() >= results[i2].trace.median_guarantee(),
+            "tight {} vs loose {}",
+            results[i1].trace.median_guarantee(),
+            results[i2].trace.median_guarantee()
+        );
         // Combined medians stay within the plane's budget.
         assert!(
             results[i1].trace.median_guarantee() + results[i2].trace.median_guarantee()

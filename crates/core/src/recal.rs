@@ -184,10 +184,6 @@ impl ControlLayer for RecalibrationLayer {
     }
 }
 
-/// The historical recalibrating-Jockey shape: a [`JockeyController`]
-/// predicting from a λ-scaled model, under a [`RecalibrationLayer`].
-pub type RecalibratingController = Layered<JockeyController>;
-
 /// Builds a recalibrating controller from the same ingredients as a
 /// plain [`JockeyController`]: the trained model is wrapped in a
 /// [`ScaledModel`] shared between the controller and the layer. Read λ
@@ -199,7 +195,7 @@ pub fn recalibrated(
     indicator: IndicatorContext,
     utility: UtilityFunction,
     params: ControlParams,
-) -> RecalibratingController {
+) -> Layered<JockeyController> {
     let scaled = ScaledModel::new(model);
     let jockey = JockeyController::new(
         scaled.clone() as Arc<dyn CompletionModel>,
@@ -257,7 +253,7 @@ mod tests {
         }
     }
 
-    fn inflation(c: &RecalibratingController) -> f64 {
+    fn inflation(c: &Layered<JockeyController>) -> f64 {
         c.layer::<RecalibrationLayer>().unwrap().inflation()
     }
 

@@ -82,8 +82,8 @@ pub trait Experiment: Sync {
 }
 
 /// All experiments, in canonical emission order (the order the
-/// pre-pipeline `repro_all` produced outputs, so results remain
-/// byte-identical and console output keeps its familiar shape).
+/// original one-shot run-everything binary produced outputs, so results
+/// remain byte-identical and console output keeps its familiar shape).
 pub fn registry() -> &'static [&'static dyn Experiment] {
     static REGISTRY: [&dyn Experiment; 19] = [
         &figures::table1::Table1Experiment,

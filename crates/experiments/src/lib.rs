@@ -4,7 +4,7 @@
 //!
 //! Each figure/table has a module under [`figures`] exposing a
 //! `run(&Env) -> …` entry point and an [`experiment::Experiment`]
-//! registration. The `jockey-repro` binary (alias `repro_all`) drives
+//! registration. The `jockey-repro` binary drives
 //! the whole pipeline: `--list` shows the registry, `--only fig6,table1`
 //! selects a subset, `--jobs N` pins the worker count, and outputs land
 //! as TSVs under `results/`.

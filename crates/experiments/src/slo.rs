@@ -180,9 +180,9 @@ pub fn run_slo_with(job: &EvalJob, cfg: &SloConfig, ws: &mut SimWorkspace) -> Sl
                     jockey_core::utility::UtilityFunction::deadline(cfg.deadline),
                     cfg.params,
                 );
-                Box::new(jockey_core::fallback::with_fallback(
-                    inner, fair_share, 1.5, 3,
-                ))
+                Box::new(jockey_core::layer::Layered::new(inner).with(Box::new(
+                    jockey_core::fallback::FallbackLayer::new(fair_share, 1.5, 3),
+                )))
             }
             (None, None) => {
                 job.setup

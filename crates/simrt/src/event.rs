@@ -31,6 +31,10 @@
 //! All backends order events by `(time, sequence)` where the sequence
 //! number is assigned at schedule time, so switching backends never
 //! changes a simulation's event stream.
+//!
+//! The cluster simulator always runs on the adaptive default
+//! ([`EventQueue::new`]); [`EventQueue::with_backend`] exists for the
+//! equivalence tests and the queue benches.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -400,17 +404,6 @@ impl<E> EventQueue<E> {
             },
             next_seq: 0,
             now: SimTime::ZERO,
-        }
-    }
-
-    /// The backend this queue runs on. An adaptive queue reports
-    /// [`QueueBackend::Adaptive`] regardless of which representation it
-    /// currently holds, so pooled queues match their config across runs.
-    pub fn backend(&self) -> QueueBackend {
-        match self.backend {
-            Backend::Bucketed(_) => QueueBackend::Bucketed,
-            Backend::Heap(_) => QueueBackend::BinaryHeap,
-            Backend::Adaptive { .. } => QueueBackend::Adaptive,
         }
     }
 
@@ -812,7 +805,6 @@ mod tests {
         assert!(!q.is_promoted());
         q.schedule(SimTime::from_secs(99), usize::MAX);
         assert!(q.is_promoted());
-        assert_eq!(q.backend(), QueueBackend::Adaptive);
         // Promotion sticks for the rest of the run even as it drains...
         let n = q.len();
         for i in 0..n {

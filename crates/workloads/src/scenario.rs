@@ -219,7 +219,6 @@ pub fn base_cluster() -> ClusterConfig {
             replica_loss_prob: 0.0,
         },
         max_sim_time: SimTime::from_mins(12 * 60),
-        queue_backend: Default::default(),
     }
 }
 

@@ -5,6 +5,9 @@
 //! Two jobs share an 80-token budget. One is far behind (tight
 //! deadline), the other comfortably ahead; the arbiter shifts tokens
 //! from low to high marginal utility, re-evaluated as progress evolves.
+//! The live half runs both jobs concurrently in one cluster under a
+//! `ControlPlane`, which recomputes the same split for their
+//! controllers.
 //!
 //! Run with: `cargo run --release --example multi_job_arbiter`
 
@@ -90,20 +93,20 @@ fn main() {
     );
 
     // ---- Live version: both jobs run concurrently in one cluster,
-    // coordinated through a SharedArbiter.
+    // coordinated through a ControlPlane.
     use jockey::cluster::{ClusterConfig, ClusterSim, JobSpec};
-    use jockey::core::arbiter::SharedArbiter;
+    use jockey::core::plane::ControlPlane;
     use jockey::core::predict::CompletionModel;
 
     println!("\nlive run: both jobs concurrently under an 80-token shared budget");
-    let arbiter = SharedArbiter::new(80);
+    let plane = ControlPlane::new(80);
     let mut cluster = ClusterConfig::production();
     cluster.total_tokens = 300;
     cluster.background.mean_util = 0.7;
     let mut sim = ClusterSim::new(cluster, 21);
     let mut indices = Vec::new();
     for (setup, &deadline) in setups.iter().zip(&deadlines) {
-        let controller = arbiter.register(
+        let controller = plane.add_job(
             setup.cpa.clone() as Arc<dyn CompletionModel>,
             setup.indicator_context(),
             UtilityFunction::deadline(deadline),

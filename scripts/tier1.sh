@@ -18,12 +18,13 @@ cargo bench --workspace --no-run
 # compiled.
 JOCKEY_BENCH_SMOKE=1 cargo bench -p jockey-bench --bench control_plane
 # Smoke-run the simulation-kernel bench so all three queue backends
-# (heap, bucketed, adaptive), the dense/sparse engine regimes, the
-# dyn/enum sampling pair and the C(p, a) table path all execute.
+# (heap, bucketed, adaptive) at queue level, the adaptive queue in the
+# dense and sparse engine regimes, the dyn/enum sampling pair and the
+# C(p, a) table path all execute.
 JOCKEY_BENCH_SMOKE=1 cargo bench -p jockey-bench --bench simrt_kernel
-# Smoke-run the engine bench: events_per_sec plus both training paths
-# (train_one_model and the dense-kernel train_one_model_batched)
-# execute end to end on the adaptive-queue default.
+# Smoke-run the engine bench: events_per_sec (with and without
+# speculation) and C(p, a) training (train_one_model) execute end to
+# end.
 JOCKEY_BENCH_SMOKE=1 cargo bench -p jockey-bench --bench engine
 # Smoke-run the service NFR bench: the open-loop driver end to end
 # (multi-threaded admission, churn, drain; recorded numbers live in
@@ -34,6 +35,9 @@ JOCKEY_BENCH_SMOKE=1 cargo bench -p jockey-bench --bench service
 # BENCH_online.json; the 20x absorb-vs-retrain floor is asserted by
 # the full run).
 JOCKEY_BENCH_SMOKE=1 cargo bench -p jockey-bench --bench online
+# Multi-job example: the one-shot arbiter split and the live
+# ControlPlane run over trained paper jobs end to end.
+cargo run --release --example multi_job_arbiter
 # Legacy-model gate: the flat (no-topology) training path must stay
 # bit-identical across the topology/scenario work. The example prints
 # an FNV-1a digest of a fixed-seed C(p, a) table.
