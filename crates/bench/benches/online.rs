@@ -6,13 +6,14 @@
 //! simulation-based retrain it replaces — otherwise the control plane
 //! could just retrain on every completion. This target measures:
 //!
-//! - `absorb`: `CpaModel::absorb_observations` — the O(cells) fold of
+//! - `absorb`: `CpaModel::absorb_observations` — the touched-rows fold of
 //!   one completed run (sketch updates plus incremental table rebuild);
 //! - `store-publish`: `ModelStore::record_completion` end to end
 //!   (absorb, drift bookkeeping, snapshot clone, generation bump), what
 //!   the service driver pays per completion;
-//! - `window-retrain`: the drift response — `vacant_copy` plus
-//!   re-absorbing the retained window — i.e. the worst-case bounded
+//! - `window-retrain`: the drift response — `retrain_from_window`, the
+//!   store's own call: a vacant copy with the retained window folded in
+//!   and each touched row rebuilt once — i.e. the worst-case bounded
 //!   work a drift fire performs inline;
 //! - `full-retrain`: `CpaModel::train` at the same grid, the cost the
 //!   online path avoids.
@@ -33,7 +34,7 @@ use std::time::Instant;
 
 use jockey_cluster::{ClusterConfig, ClusterSim, FixedAllocation, JobSpec};
 use jockey_core::cpa::{CpaModel, RunObservation, TrainConfig};
-use jockey_core::online::{ModelStore, OnlineConfig, RecordedRun};
+use jockey_core::online::{retrain_from_window, ModelStore, OnlineConfig, RecordedRun};
 use jockey_core::progress::{IndicatorContext, ProgressIndicator};
 use jockey_jobgraph::graph::{EdgeKind, JobGraphBuilder};
 use jockey_simrt::dist::Uniform;
@@ -127,7 +128,7 @@ fn main() {
     let retrain_mean_ms = 1e3 * retrain_secs.iter().sum::<f64>() / retrain_secs.len() as f64;
 
     // Phase 2a — absorb: CpaModel::absorb_observations on a live model,
-    // the O(cells) fold the acceptance floor is stated for.
+    // the touched-rows fold the acceptance floor is stated for.
     let ticks = 32;
     let mut live = model.clone();
     let mut absorb_us = Vec::with_capacity(absorb_iters);
@@ -165,10 +166,7 @@ fn main() {
     let mut window_us = Vec::with_capacity(train_iters.max(16));
     for _ in 0..train_iters.max(16) {
         let t0 = Instant::now();
-        let mut fresh = model.vacant_copy();
-        for run in &window {
-            fresh.absorb_observations(&run.observations, run.total_secs, run.completed);
-        }
+        let fresh = retrain_from_window(&model, &window);
         window_us.push(1e6 * t0.elapsed().as_secs_f64());
         assert!(fresh.sample_count() > 0);
     }

@@ -370,9 +370,10 @@ mod tests {
     #[test]
     fn invariant_checks_can_be_disabled() {
         let (mut sim, _, _) = stepped_sim(false);
-        assert!(
+        assert_eq!(
             sim.engine.core.invariants_enabled,
-            "test builds default to enabled"
+            cfg!(debug_assertions),
+            "checks default to on in debug builds and off in release builds"
         );
         sim.set_invariant_checks(false);
         sim.engine.core.jobs[0].guarantee = 0; // Would trip token conservation.

@@ -20,11 +20,12 @@
 //!
 //! Each `(allocation, bin)` cell is a mergeable
 //! [`CellSketch`](crate::sketch::CellSketch), so a completed run folds
-//! into the model with [`CpaModel::absorb`] in `O(cells)` — no
-//! retraining. With the default `sketch_capacity: None` the sketches
-//! are *exact* (plain sorted sample lists) and the model is
-//! byte-identical to the pre-sketch format; a bounded capacity trades
-//! memory for the sketch's documented rank-error bound.
+//! into the model with [`CpaModel::absorb`] at the cost of the cells it
+//! lands in and their table rows — no retraining. With the default
+//! `sketch_capacity: None` the sketches are *exact* (plain sorted
+//! sample lists) and the model is byte-identical to the pre-sketch
+//! format; a bounded capacity trades memory for the sketch's documented
+//! rank-error bound.
 //! [`CpaModel::train`] itself is a thin wrapper that harvests
 //! simulation runs and absorbs them into an empty model.
 
@@ -230,6 +231,26 @@ fn progress_bin(p: f64, bins: usize) -> usize {
     (((p.clamp(0.0, 1.0)) * bins as f64) as usize).min(bins - 1)
 }
 
+/// Maps `v` to an integer whose unsigned order is `f64::total_cmp`'s
+/// order on the floats; [`from_total_order_bits`] inverts it exactly.
+fn total_order_bits(v: f64) -> u64 {
+    let bits = v.to_bits();
+    if bits >> 63 == 1 {
+        !bits
+    } else {
+        bits | 1 << 63
+    }
+}
+
+/// The inverse of [`total_order_bits`].
+fn from_total_order_bits(key: u64) -> f64 {
+    f64::from_bits(if key >> 63 == 1 {
+        key & !(1 << 63)
+    } else {
+        !key
+    })
+}
+
 /// Linear interpolation between two grid values, repairing the
 /// `inf − inf` case that arises when vacant (sample-free) rows sit
 /// next to the query. Finite inputs keep the exact historical
@@ -294,6 +315,7 @@ struct RunHarvest {
 
 /// The trained `C(p, a)` table.
 #[derive(Clone, Debug)]
+#[cfg_attr(test, derive(PartialEq))]
 pub struct CpaModel {
     allocations: Vec<u32>,
     bins: usize,
@@ -302,8 +324,11 @@ pub struct CpaModel {
     sketch_k: Option<usize>,
     /// `cells[alloc_idx][bin]`: a mergeable quantile sketch over the
     /// remaining-time samples. Exact (a plain sorted list) unless a
-    /// `sketch_capacity` was configured.
-    cells: Vec<Vec<CellSketch>>,
+    /// `sketch_capacity` was configured. Each allocation's row is
+    /// shared copy-on-write, so cloning the model (a published online
+    /// snapshot) copies row pointers, and an absorb deep-copies only
+    /// the rows it writes that a snapshot still holds.
+    cells: Vec<Arc<Vec<CellSketch>>>,
     /// Dense `allocations.len() x bins` lookup table: the configured
     /// percentile of each `(allocation, bin)` cell, with the outward
     /// empty-cell fallback already resolved. [`CpaModel::remaining`] —
@@ -346,10 +371,11 @@ impl CpaModel {
             bins: cfg.progress_bins,
             percentile: cfg.percentile,
             sketch_k: cfg.sketch_capacity,
-            cells: vec![
-                vec![CellSketch::new(cfg.sketch_capacity); cfg.progress_bins];
-                cfg.allocations.len()
-            ],
+            cells: vacant_rows(
+                cfg.allocations.len(),
+                cfg.progress_bins,
+                cfg.sketch_capacity,
+            ),
             table: Vec::new(),
             fresh_monotone: false,
         }
@@ -364,7 +390,7 @@ impl CpaModel {
             bins: self.bins,
             percentile: self.percentile,
             sketch_k: self.sketch_k,
-            cells: vec![vec![CellSketch::new(self.sketch_k); self.bins]; self.allocations.len()],
+            cells: vacant_rows(self.allocations.len(), self.bins, self.sketch_k),
             table: Vec::new(),
             fresh_monotone: false,
         };
@@ -461,9 +487,8 @@ impl CpaModel {
     }
 
     /// Folds one completed (or horizon-censored) run's observations
-    /// into the model's sketches in `O(cells)` and incrementally
-    /// rebuilds the affected query-table rows. Returns the number of
-    /// samples added.
+    /// into the sketches of the cells they land in and rebuilds those
+    /// cells' query-table rows. Returns the number of samples added.
     ///
     /// This is the online counterpart of one training run: each
     /// observation contributes `(total_secs − elapsed).max(0)` to the
@@ -476,13 +501,29 @@ impl CpaModel {
         total_secs: f64,
         completed: bool,
     ) -> usize {
-        let completed_alloc = if completed {
-            obs.last().map(|o| o.allocation)
-        } else {
-            None
-        };
+        self.absorb_runs([(obs, total_secs, completed)])
+    }
+
+    /// Folds a batch of `(observations, total_secs, completed)` runs,
+    /// one after another exactly as repeated
+    /// [`CpaModel::absorb_observations`] calls would, but rebuilds each
+    /// touched table row once at the end instead of once per run. The
+    /// cells and table come out identical to the one-by-one absorb.
+    /// Returns the number of samples added.
+    pub(crate) fn absorb_runs<'a>(
+        &mut self,
+        runs: impl IntoIterator<Item = (&'a [RunObservation], f64, bool)>,
+    ) -> usize {
         let mut dirty = vec![false; self.allocations.len()];
-        let added = self.fold_run(obs, total_secs, completed_alloc, Some(&mut dirty));
+        let mut added = 0;
+        for (obs, total_secs, completed) in runs {
+            let completed_alloc = if completed {
+                obs.last().map(|o| o.allocation)
+            } else {
+                None
+            };
+            added += self.fold_run(obs, total_secs, completed_alloc, Some(&mut dirty));
+        }
         self.rebuild_rows(&dirty);
         added
     }
@@ -526,50 +567,56 @@ impl CpaModel {
         completed_alloc: Option<u32>,
         dirty: Option<&mut Vec<bool>>,
     ) -> usize {
-        // Stage every sample as a `(cell, remaining)` pair and sort once
-        // by cell then value: each cell's batch comes out contiguous and
-        // ascending, and cells are visited in the same ascending
-        // `(allocation, bin)` order a keyed map would yield — so the
-        // sketches absorb byte-identical batches, without a map node and
-        // a vector allocation per touched cell.
-        let mut staged: Vec<((usize, usize), f64)> = Vec::with_capacity(obs.len() + 1);
+        // Stage every sample as one integer, the row-major cell index
+        // above the value's `total_cmp` order, and sort once: each
+        // cell's batch comes out contiguous and ascending, and cells are
+        // visited in the same ascending `(allocation, bin)` order a
+        // keyed map would yield — so the sketches absorb byte-identical
+        // batches, without a map node and a vector allocation per
+        // touched cell, and the sort compares plain integers.
+        let stage = |ai: usize, bin: usize, remaining: f64| {
+            (((ai * self.bins + bin) as u128) << 64) | u128::from(total_order_bits(remaining))
+        };
+        let mut staged: Vec<u128> = Vec::with_capacity(obs.len() + 1);
         staged.extend(obs.iter().map(|o| {
             let ai = self.grid_index_nearest(o.allocation);
             let bin = progress_bin(o.progress, self.bins);
-            ((ai, bin), (total_secs - o.elapsed_secs).max(0.0))
+            stage(ai, bin, (total_secs - o.elapsed_secs).max(0.0))
         }));
         // Completion itself: zero remaining at full progress (only for
         // runs that actually completed).
         if let Some(a) = completed_alloc {
             let ai = self.grid_index_nearest(a);
-            staged.push(((ai, self.bins - 1), 0.0));
+            staged.push(stage(ai, self.bins - 1, 0.0));
         }
-        staged.sort_by(|x, y| x.0.cmp(&y.0).then(x.1.total_cmp(&y.1)));
+        staged.sort_unstable();
         let added = staged.len();
         self.absorb_staged(&staged, dirty);
         added
     }
 
-    /// Walks a `(cell, value)`-sorted staging buffer and merges each
-    /// cell's contiguous (already ascending) batch into its sketch.
-    fn absorb_staged(
-        &mut self,
-        staged: &[((usize, usize), f64)],
-        mut dirty: Option<&mut Vec<bool>>,
-    ) {
+    /// Walks a sorted staging buffer (see [`CpaModel::fold_run`]) and
+    /// merges each cell's contiguous, already ascending batch into its
+    /// sketch.
+    fn absorb_staged(&mut self, staged: &[u128], mut dirty: Option<&mut Vec<bool>>) {
         let mut batch: Vec<f64> = Vec::new();
         let mut i = 0;
         while i < staged.len() {
-            let key = staged[i].0;
+            let cell = (staged[i] >> 64) as usize;
             let end = staged[i..]
                 .iter()
-                .position(|e| e.0 != key)
+                .position(|&e| (e >> 64) as usize != cell)
                 .map_or(staged.len(), |p| i + p);
             batch.clear();
-            batch.extend(staged[i..end].iter().map(|e| e.1));
-            self.cells[key.0][key.1].extend_sorted(&batch);
+            batch.extend(
+                staged[i..end]
+                    .iter()
+                    .map(|&e| from_total_order_bits(e as u64)),
+            );
+            let (ai, bin) = (cell / self.bins, cell % self.bins);
+            Arc::make_mut(&mut self.cells[ai])[bin].extend_sorted(&batch);
             if let Some(d) = dirty.as_deref_mut() {
-                d[key.0] = true;
+                d[ai] = true;
             }
             i = end;
         }
@@ -639,6 +686,20 @@ impl CpaModel {
             // NaN anywhere in the column disqualifies the fast path.
             prev >= cur
         });
+    }
+
+    /// A copy that shares no cell row with `self`, so a later write to
+    /// either cannot show through in the other.
+    #[cfg(test)]
+    pub(crate) fn deep_clone(&self) -> CpaModel {
+        CpaModel {
+            cells: self
+                .cells
+                .iter()
+                .map(|row| Arc::new(Vec::clone(row)))
+                .collect(),
+            ..self.clone()
+        }
     }
 
     /// The allocation grid the model was trained on.
@@ -923,7 +984,7 @@ impl CpaModel {
                     .ok_or_else(|| ModelLoadError::BadCell(format!("cell.{ai}.{bin}")))?;
                 alloc_cells.push(sketch);
             }
-            cells.push(alloc_cells);
+            cells.push(Arc::new(alloc_cells));
         }
         let mut model = CpaModel {
             allocations,
@@ -937,6 +998,17 @@ impl CpaModel {
         model.build_table();
         Ok(model)
     }
+}
+
+/// `allocations` sample-free rows of `bins` cells, all sharing one
+/// vacant row until an absorb first writes to each.
+fn vacant_rows(
+    allocations: usize,
+    bins: usize,
+    sketch_k: Option<usize>,
+) -> Vec<Arc<Vec<CellSketch>>> {
+    let vacant = Arc::new(vec![CellSketch::new(sketch_k); bins]);
+    vec![vacant; allocations]
 }
 
 /// Why a serialized `C(p, a)` table failed to load
@@ -1526,6 +1598,34 @@ mod absorb_tests {
         assert_eq!(m.sample_count(), added);
     }
 
+    /// The staging key orders floats exactly as `f64::total_cmp` does
+    /// (signed zeros, infinities and NaNs included) and decodes to the
+    /// same bits.
+    #[test]
+    fn staging_key_orders_like_total_cmp_and_round_trips() {
+        let vals = [
+            -f64::NAN,
+            f64::NEG_INFINITY,
+            -1e300,
+            -1.0,
+            -f64::MIN_POSITIVE,
+            -0.0,
+            0.0,
+            5e-324,
+            1.0,
+            f64::MAX,
+            f64::INFINITY,
+            f64::NAN,
+        ];
+        for a in vals {
+            let key = total_order_bits(a);
+            assert_eq!(from_total_order_bits(key).to_bits(), a.to_bits());
+            for b in vals {
+                assert_eq!(key.cmp(&total_order_bits(b)), a.total_cmp(&b), "{a} vs {b}");
+            }
+        }
+    }
+
     /// Off-grid allocations snap to the nearest grid point (lower wins
     /// ties), so online traces from interpolated guarantees land in
     /// real cells.
@@ -1622,6 +1722,32 @@ mod absorb_tests {
         a.absorb_observations(&obs, total, true);
         b.absorb_observations(&obs, total, true);
         assert_eq!(a.cells, b.cells);
+    }
+
+    /// A clone (a published snapshot) shares every row; an absorb into
+    /// the original deep-copies only the row it writes, and the clone
+    /// keeps its exact contents.
+    #[test]
+    fn absorb_copies_only_the_rows_a_clone_still_shares() {
+        let c = cfg(Some(16));
+        let mut m = CpaModel::empty(&c);
+        for (i, &a) in c.allocations.iter().enumerate() {
+            let (obs, total) = synth_run(40 + i as u64, a);
+            m.absorb_observations(&obs, total, true);
+        }
+        let snap = m.clone();
+        let frozen = m.deep_clone();
+        let (obs, total) = synth_run(99, 4);
+        m.absorb_observations(&obs, total, true);
+        for ai in 0..c.allocations.len() {
+            assert_eq!(
+                Arc::ptr_eq(&m.cells[ai], &snap.cells[ai]),
+                ai != 1,
+                "row {ai}: only the written row (allocation 4) is copied"
+            );
+        }
+        assert_eq!(snap, frozen, "the clone never sees the later absorb");
+        assert_ne!(m, frozen);
     }
 
     #[test]

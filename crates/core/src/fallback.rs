@@ -200,8 +200,8 @@ mod tests {
 
     #[test]
     fn initial_decision_bypasses_the_guard() {
-        // Admission-time sizing carries no slip signal; the layer's
-        // after_initial hook is a pass-through and records nothing.
+        // Admission-time sizing carries no slip signal; layers never
+        // see the initial decision, so nothing is recorded.
         let mut g = guarded(Slipping { pred: 0.0 }, 7, 1.5, 1);
         let d = g.initial(&status(0));
         assert_eq!(d.guarantee, 50);

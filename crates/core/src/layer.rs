@@ -33,7 +33,7 @@ use jockey_simrt::time::SimDuration;
 
 /// One stackable control middleware.
 ///
-/// All hooks default to pass-through, so a layer implements only the
+/// Both hooks default to pass-through, so a layer implements only the
 /// seams it needs. `Any` is a supertrait so stacked layers can be
 /// recovered by type via [`Layered::layer`] (e.g. to read a fallback
 /// flag after a run).
@@ -49,21 +49,6 @@ pub trait ControlLayer: Any + Send {
     fn after_tick(&mut self, _status: &JobStatus, decision: ControlDecision) -> ControlDecision {
         decision
     }
-
-    /// Runs before the admission-time initial decision. Unlike
-    /// periodic ticks, this defaults to a no-op: wrappers historically
-    /// let the first decision through untouched.
-    fn before_initial(&mut self, _status: &JobStatus) {}
-
-    /// Transforms the admission-time initial decision (default:
-    /// pass-through).
-    fn after_initial(&mut self, _status: &JobStatus, decision: ControlDecision) -> ControlDecision {
-        decision
-    }
-
-    /// Notifies the layer of a runtime deadline change (after the
-    /// inner controller has been notified).
-    fn deadline_changed(&mut self, _new_deadline: SimDuration) {}
 }
 
 /// A [`JobController`] decorated with a stack of [`ControlLayer`]s.
@@ -130,22 +115,14 @@ impl<C: JobController> JobController for Layered<C> {
         decision
     }
 
+    /// Layers see only periodic ticks: the admission-time decision
+    /// comes straight from the inner controller.
     fn initial(&mut self, status: &JobStatus) -> ControlDecision {
-        for layer in self.layers.iter_mut().rev() {
-            layer.before_initial(status);
-        }
-        let mut decision = self.inner.initial(status);
-        for layer in &mut self.layers {
-            decision = layer.after_initial(status, decision);
-        }
-        decision
+        self.inner.initial(status)
     }
 
     fn deadline_changed(&mut self, new_deadline: SimDuration) {
         self.inner.deadline_changed(new_deadline);
-        for layer in &mut self.layers {
-            layer.deadline_changed(new_deadline);
-        }
     }
 }
 
@@ -243,7 +220,7 @@ mod tests {
     #[test]
     fn layers_default_to_pass_through_on_initial() {
         let mut c = Layered::new(FixedAllocation(10)).with(Box::new(Pin(3)));
-        // `Pin` only implements after_tick; initial stays untouched.
+        // Layers see only periodic ticks; initial stays untouched.
         assert_eq!(c.initial(&status()).guarantee, 10);
         assert_eq!(c.tick(&status()).guarantee, 3);
     }

@@ -4,13 +4,15 @@
 //! Three pieces turn the frozen offline table into a living model:
 //!
 //! - [`ModelStore`] owns the evolving master model. Every completed
-//!   run folds in through [`CpaModel::absorb_observations`] (`O(cells)`,
-//!   no simulation) and publishes a fresh snapshot behind an atomic
-//!   generation counter, so readers — the control plane's refresh, the
-//!   admission ledger's sizing — swap tables between ticks without ever
-//!   blocking on a learner. This reuses the control plane's
-//!   snapshot-swap idiom: writers prepare a complete immutable value,
-//!   then replace one pointer.
+//!   run folds in through [`CpaModel::absorb_observations`] (the cells
+//!   the run touches and their table rows, no simulation) and publishes
+//!   a fresh snapshot behind an atomic generation counter, so readers —
+//!   the control plane's refresh, the admission ledger's sizing — swap
+//!   tables between ticks without ever blocking on a learner. This
+//!   reuses the control plane's snapshot-swap idiom: writers prepare a
+//!   complete immutable value, then replace one pointer. The snapshot
+//!   shares the master's cell rows copy-on-write, so publishing copies
+//!   row pointers and the dense table, not the sketches.
 //! - [`DriftDetector`] watches completed runs. The master model
 //!   predicts completions at a high percentile `P`, so under a
 //!   stationary workload an observed completion should exceed its
@@ -19,9 +21,9 @@
 //!   when their count leaves the one-sided binomial acceptance region
 //!   `K·q + z·sqrt(K·q·(1−q))` — a windowed sign-test that needs no
 //!   distributional assumptions about the latencies themselves. A fire
-//!   rebuilds the master from the retained recent-run window (absorb is
-//!   cheap, so "retraining" is re-absorbing), restoring a model that
-//!   reflects current behaviour.
+//!   rebuilds the master from the retained recent-run window
+//!   ([`retrain_from_window`]: absorb is cheap, so "retraining" is
+//!   re-absorbing), restoring a model that reflects current behaviour.
 //! - [`PriorLibrary`] gives first-run jobs a borrowed model keyed by
 //!   plan structure ([`structure_hash`]): stage count, DAG shape and
 //!   barrier pattern — deliberately *not* task counts or names, so a
@@ -56,6 +58,9 @@ pub struct ModelLifecycleStats {
     pub absorbed_runs: AtomicU64,
     /// Samples those runs contributed.
     pub absorbed_samples: AtomicU64,
+    /// Runs refused before folding because a time or progress field was
+    /// not a finite, usable number (see [`ModelStore::record_completion`]).
+    pub rejected_runs: AtomicU64,
 }
 
 impl ModelLifecycleStats {
@@ -65,9 +70,9 @@ impl ModelLifecycleStats {
     }
 }
 
-/// Drift-detector configuration. `percentile` must match the model's
-/// query percentile — it defines the null exceedance rate the sign-test
-/// is calibrated against.
+/// Drift-detector configuration. The null exceedance rate the sign-test
+/// is calibrated against comes from the watched model's query
+/// percentile, not from here (see [`DriftDetector::new`]).
 #[derive(Clone, Copy, Debug)]
 pub struct DriftConfig {
     /// Completions in the sliding window (`K`).
@@ -77,9 +82,6 @@ pub struct DriftConfig {
     /// One-sided z-threshold on the exceedance count; ~4 keeps the
     /// stationary false-positive rate negligible.
     pub z_threshold: f64,
-    /// The model's query percentile `P`; null exceedance rate is
-    /// `1 − P/100`.
-    pub percentile: f64,
 }
 
 impl Default for DriftConfig {
@@ -88,7 +90,6 @@ impl Default for DriftConfig {
             window: 32,
             min_observations: 16,
             z_threshold: 4.0,
-            percentile: 95.0,
         }
     }
 }
@@ -98,15 +99,20 @@ impl Default for DriftConfig {
 #[derive(Clone, Debug)]
 pub struct DriftDetector {
     cfg: DriftConfig,
+    /// Null exceedance rate `q = 1 − P/100` of a `P`-th percentile
+    /// predictor.
+    null_rate: f64,
     /// Exceedance indicators for the last `K` completions.
     window: VecDeque<bool>,
 }
 
 impl DriftDetector {
-    /// A detector with the given configuration.
-    pub fn new(cfg: DriftConfig) -> Self {
+    /// A detector for predictions made at the `percentile`-th
+    /// percentile (`0..=100`), e.g. [`CpaModel::percentile`].
+    pub fn new(cfg: DriftConfig, percentile: f64) -> Self {
         DriftDetector {
             cfg,
+            null_rate: (1.0 - percentile / 100.0).clamp(0.0, 1.0),
             window: VecDeque::with_capacity(cfg.window.max(1)),
         }
     }
@@ -123,7 +129,7 @@ impl DriftDetector {
             return false;
         }
         let k = self.window.len() as f64;
-        let q = (1.0 - self.cfg.percentile / 100.0).clamp(0.0, 1.0);
+        let q = self.null_rate;
         let exceeded = self.window.iter().filter(|&&e| e).count() as f64;
         let threshold = k * q + self.cfg.z_threshold * (k * q * (1.0 - q)).sqrt();
         if exceeded > threshold {
@@ -156,11 +162,26 @@ pub struct RecordedRun {
     pub predicted_secs: f64,
 }
 
+impl RecordedRun {
+    /// Whether every field the fold reads is usable: a finite,
+    /// non-negative total and finite observation times and progress.
+    /// A NaN total would otherwise fold as "finished instantly"
+    /// samples (`(NaN − elapsed).max(0)` is 0), and NaN progress would
+    /// land in bin 0.
+    fn is_absorbable(&self) -> bool {
+        self.total_secs.is_finite()
+            && self.total_secs >= 0.0
+            && self
+                .observations
+                .iter()
+                .all(|o| o.elapsed_secs.is_finite() && o.progress.is_finite())
+    }
+}
+
 /// [`ModelStore`] configuration.
 #[derive(Clone, Copy, Debug)]
 pub struct OnlineConfig {
-    /// Drift-detection parameters; set `drift.percentile` to the
-    /// model's query percentile.
+    /// Drift-detection parameters.
     pub drift: DriftConfig,
     /// Completed runs retained for drift-triggered window retrains.
     pub retain_runs: usize,
@@ -178,13 +199,17 @@ impl Default for OnlineConfig {
 /// What one [`ModelStore::record_completion`] call did.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct AbsorbOutcome {
-    /// The generation of the snapshot published by this call.
+    /// The generation of the snapshot published by this call, or the
+    /// unchanged current generation when the run was rejected.
     pub generation: u64,
     /// Samples folded into the master model.
     pub samples_added: usize,
     /// Whether drift fired and the master was rebuilt from the
     /// retained run window.
     pub drift_retrained: bool,
+    /// Whether the run was refused as malformed: nothing was folded,
+    /// retained or published.
+    pub rejected: bool,
 }
 
 /// The mutable learner state, serialized behind one lock so absorbs
@@ -222,8 +247,8 @@ impl ModelStore {
             generation: AtomicU64::new(0),
             stats,
             inner: Mutex::new(StoreInner {
+                detector: DriftDetector::new(cfg.drift, model.percentile()),
                 master: model,
-                detector: DriftDetector::new(cfg.drift),
                 recent: VecDeque::with_capacity(cfg.retain_runs.min(1024)),
                 retain: cfg.retain_runs.max(1),
             }),
@@ -247,8 +272,30 @@ impl ModelStore {
 
     /// Folds one completed run into the master model, runs the drift
     /// test, rebuilds from the retained window when it fires, and
-    /// publishes the new snapshot. `O(cells)` on the quiet path.
+    /// publishes the new snapshot.
+    ///
+    /// On the quiet path the cost is what the run touched: merging its
+    /// samples into their cells, deep-copying those cells' rows if the
+    /// previous snapshot still shares them, and recomputing those rows'
+    /// table entries. Publishing copies row pointers and the dense
+    /// table, never the sketches. A drift fire adds one
+    /// [`retrain_from_window`] over the retained runs.
+    ///
+    /// A run with a non-finite or negative `total_secs`, or with a
+    /// non-finite observation time or progress, is rejected: nothing is
+    /// folded, it does not enter the drift window or the retained
+    /// window, and no generation is published. The returned outcome
+    /// flags it and [`ModelLifecycleStats::rejected_runs`] counts it.
     pub fn record_completion(&self, run: RecordedRun) -> AbsorbOutcome {
+        if !run.is_absorbable() {
+            self.stats.rejected_runs.fetch_add(1, Ordering::Relaxed);
+            return AbsorbOutcome {
+                generation: self.generation(),
+                samples_added: 0,
+                drift_retrained: false,
+                rejected: true,
+            };
+        }
         let mut inner = self.inner.lock().expect("store lock");
         let samples_added =
             inner
@@ -269,15 +316,7 @@ impl ModelStore {
         let drift_retrained = check_drift && inner.detector.record(observed, predicted);
         if drift_retrained {
             self.stats.drift_detections.fetch_add(1, Ordering::Relaxed);
-            // "Retrain" = re-absorb the retained window into a vacant
-            // copy: the stale history beyond the window is dropped and
-            // the model snaps to current behaviour, without a single
-            // simulation run.
-            let mut fresh = inner.master.vacant_copy();
-            for r in &inner.recent {
-                fresh.absorb_observations(&r.observations, r.total_secs, r.completed);
-            }
-            inner.master = fresh;
+            inner.master = retrain_from_window(&inner.master, &inner.recent);
         }
 
         let snapshot = Arc::new(inner.master.clone());
@@ -286,6 +325,7 @@ impl ModelStore {
             generation,
             samples_added,
             drift_retrained,
+            rejected: false,
         }
     }
 
@@ -297,6 +337,25 @@ impl ModelStore {
             .fetch_add(1, Ordering::Relaxed);
         self.generation.fetch_add(1, Ordering::AcqRel) + 1
     }
+}
+
+/// The drift response: a sample-free copy of `model`'s shape with every
+/// run of `window` folded in, in order, and each touched table row
+/// rebuilt once. The stale history beyond the window is dropped and the
+/// model snaps to current behaviour without a single simulation run.
+/// Cells and table equal absorbing the same runs one by one into
+/// [`CpaModel::vacant_copy`].
+pub fn retrain_from_window<'a>(
+    model: &CpaModel,
+    window: impl IntoIterator<Item = &'a RecordedRun>,
+) -> CpaModel {
+    let mut fresh = model.vacant_copy();
+    fresh.absorb_runs(
+        window
+            .into_iter()
+            .map(|r| (r.observations.as_slice(), r.total_secs, r.completed)),
+    );
+    fresh
 }
 
 /// A [`CompletionModel`] view over a [`ModelStore`], resolving the
@@ -514,7 +573,6 @@ mod tests {
                 window: 16,
                 min_observations: 8,
                 z_threshold: 3.0,
-                percentile: 90.0,
             },
             retain_runs: 32,
         };
@@ -590,9 +648,8 @@ mod tests {
             window: 32,
             min_observations: 16,
             z_threshold: 4.0,
-            percentile: 90.0,
         };
-        let mut det = DriftDetector::new(drift_cfg);
+        let mut det = DriftDetector::new(drift_cfg, 90.0);
         for i in 0..2000_u32 {
             let exceeded = i % 10 == 9;
             let (observed, predicted) = if exceeded {
@@ -625,9 +682,8 @@ mod tests {
             window: 8,
             min_observations: 4,
             z_threshold: 1.0,
-            percentile: 90.0,
         };
-        let mut det = DriftDetector::new(drift_cfg);
+        let mut det = DriftDetector::new(drift_cfg, 90.0);
         let mut fires = 0;
         for _ in 0..4 {
             if det.record(200.0, 100.0) {
@@ -636,6 +692,147 @@ mod tests {
         }
         assert_eq!(fires, 1, "one fire for one regime change");
         assert_eq!(det.observation_count(), 0, "window cleared on fire");
+    }
+
+    /// A snapshot taken at any generation keeps its exact contents
+    /// while later completions, and a drift retrain, rewrite the
+    /// master it shares rows with.
+    #[test]
+    fn published_snapshots_are_isolated_from_later_absorbs() {
+        let store = seeded_store(100.0);
+        let stale_estimate = store.current().fresh_latency(4);
+        let mut taken = vec![(store.current(), store.current().deep_clone())];
+        let mut fires = 0;
+        for i in 0..24 {
+            // Slow runs at allocation 4 drive one drift fire, then
+            // stop feeding the detector; runs at 2 and 8 dirty other
+            // rows on the way.
+            let a = [4, 4, 2, 4, 8][i % 5];
+            let predicted = if fires == 0 { stale_estimate } else { f64::NAN };
+            let outcome = store.record_completion(run(a, 300.0, predicted));
+            fires += usize::from(outcome.drift_retrained);
+            let snap = store.current();
+            taken.push((snap.clone(), snap.deep_clone()));
+        }
+        assert_eq!(fires, 1, "one drift retrain in the sequence");
+        for (generation, (snap, copy)) in taken.iter().enumerate() {
+            assert_eq!(**snap, *copy, "snapshot of generation {generation}");
+        }
+    }
+
+    /// The windowed retrain equals absorbing the same runs one by one
+    /// into a vacant copy: cells, table and monotone flag alike, with
+    /// bounded sketches that compact, censored runs and runs at
+    /// off-grid allocations.
+    #[test]
+    fn window_retrain_matches_one_by_one_absorb() {
+        let bounded = TrainConfig {
+            sketch_capacity: Some(8),
+            ..cfg()
+        };
+        let mut master = CpaModel::empty(&bounded);
+        let stale = run(4, 50.0, f64::NAN);
+        master.absorb_observations(&stale.observations, stale.total_secs, true);
+        let window: Vec<RecordedRun> = (0..40_u32)
+            .map(|i| {
+                let mut r = run(
+                    [2, 3, 4, 8, 5][i as usize % 5],
+                    90.0 + f64::from(i * 7 % 13),
+                    1.0,
+                );
+                r.completed = i % 6 != 0;
+                r
+            })
+            .collect();
+
+        let mut one_by_one = master.vacant_copy();
+        for r in &window {
+            one_by_one.absorb_observations(&r.observations, r.total_secs, r.completed);
+        }
+        assert!(one_by_one.rank_error_bound() > 0, "want compacted cells");
+        assert_eq!(retrain_from_window(&master, &window), one_by_one);
+    }
+
+    /// Asserts that `store` refuses `hostile` without a trace: no
+    /// samples, no retained or drift-window entry, no new generation,
+    /// and the published snapshot is the same, unchanged value.
+    fn assert_rejected(store: &ModelStore, hostile: RecordedRun) {
+        let before = store.current();
+        let copy = before.deep_clone();
+        let generation = store.generation();
+        let (retained, watched) = {
+            let inner = store.inner.lock().unwrap();
+            (inner.recent.len(), inner.detector.observation_count())
+        };
+        let rejected = store.stats().rejected_runs.load(Ordering::Relaxed);
+
+        let outcome = store.record_completion(hostile);
+        assert_eq!(
+            outcome,
+            AbsorbOutcome {
+                generation,
+                samples_added: 0,
+                drift_retrained: false,
+                rejected: true,
+            }
+        );
+        assert_eq!(store.generation(), generation);
+        assert!(Arc::ptr_eq(&before, &store.current()));
+        assert_eq!(*store.current(), copy);
+        let inner = store.inner.lock().unwrap();
+        assert_eq!(inner.recent.len(), retained, "entered the retained window");
+        assert_eq!(
+            inner.detector.observation_count(),
+            watched,
+            "entered the drift window"
+        );
+        assert_eq!(inner.master, copy, "master was folded into");
+        drop(inner);
+        assert_eq!(
+            store.stats().rejected_runs.load(Ordering::Relaxed),
+            rejected + 1
+        );
+    }
+
+    /// A store with one accepted, drift-checked run already recorded.
+    fn store_with_history() -> ModelStore {
+        let store = seeded_store(100.0);
+        assert!(!store.record_completion(run(4, 100.0, 120.0)).rejected);
+        store
+    }
+
+    #[test]
+    fn rejects_non_finite_or_negative_total_secs() {
+        let store = store_with_history();
+        for total in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -1.0] {
+            let mut r = run(4, 100.0, 120.0);
+            r.total_secs = total;
+            assert_rejected(&store, r);
+        }
+        assert_eq!(store.stats().absorbed_runs.load(Ordering::Relaxed), 1);
+    }
+
+    #[test]
+    fn rejects_non_finite_observation_elapsed_secs() {
+        let store = store_with_history();
+        for elapsed in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let mut r = run(4, 100.0, 120.0);
+            r.observations[3].elapsed_secs = elapsed;
+            assert_rejected(&store, r);
+        }
+        assert_eq!(store.stats().absorbed_runs.load(Ordering::Relaxed), 1);
+    }
+
+    #[test]
+    fn rejects_non_finite_observation_progress() {
+        let store = store_with_history();
+        for progress in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let mut r = run(4, 100.0, 120.0);
+            r.observations[5].progress = progress;
+            assert_rejected(&store, r);
+        }
+        // The store keeps learning from well-formed runs afterwards.
+        assert_eq!(store.record_completion(run(4, 100.0, 120.0)).generation, 2);
     }
 
     #[test]

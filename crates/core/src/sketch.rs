@@ -163,8 +163,7 @@ impl CellSketch {
 
     /// Merges an ascending-sorted batch of samples.
     pub fn extend_sorted(&mut self, sorted: &[f64]) {
-        let merged = merge_sorted(&self.levels[0], sorted);
-        self.levels[0] = merged;
+        merge_into(&mut self.levels[0], sorted);
         self.shrink();
     }
 
@@ -184,7 +183,7 @@ impl CellSketch {
         }
         for (i, level) in other.levels.iter().enumerate() {
             if !level.is_empty() {
-                self.levels[i] = merge_sorted(&self.levels[i], level);
+                merge_into(&mut self.levels[i], level);
             }
         }
         for (i, &c) in other.compactions.iter().enumerate() {
@@ -199,6 +198,11 @@ impl CellSketch {
     /// every item weighs 1 (exact mode, or bounded mode before the
     /// first compaction).
     ///
+    /// A multi-level sketch is answered without materializing or
+    /// sorting its items: the already-sorted levels are walked in
+    /// merged order from whichever end is nearer the rank, so a tail
+    /// percentile touches only the tail.
+    ///
     /// # Panics
     ///
     /// Panics on an empty sketch or a percentile outside `[0, 100]`.
@@ -210,19 +214,76 @@ impl CellSketch {
             // frozen-mode answers stay bit-for-bit identical.
             return percentile_sorted(&self.levels[0], q);
         }
-        let mut items: Vec<(f64, u64)> = Vec::with_capacity(self.item_count());
-        for (i, level) in self.levels.iter().enumerate() {
-            items.extend(level.iter().map(|&v| (v, 1_u64 << i)));
-        }
-        items.sort_by(|a, b| a.0.total_cmp(&b.0));
-        let total: u64 = items.iter().map(|&(_, w)| w).sum();
+        let total = self.count();
         // Rank on the expanded multiset of `total` samples, exactly as
         // percentile_sorted ranks a slice of length `total`.
         let rank = q / 100.0 * (total - 1) as f64;
         let lo = rank.floor() as u64;
         let hi = rank.ceil() as u64;
-        let (vlo, vhi) = (value_at(&items, lo), value_at(&items, hi));
+        let (vlo, vhi) = if lo < (total - 1).saturating_sub(hi) {
+            self.values_at(false, lo, hi)
+        } else {
+            // Counted from the top, `hi` comes first. A position past
+            // the end saturates to the top item.
+            let (vhi, vlo) = self.values_at(
+                true,
+                (total - 1).saturating_sub(hi),
+                (total - 1).saturating_sub(lo),
+            );
+            (vlo, vhi)
+        };
         vlo + (vhi - vlo) * (rank - lo as f64)
+    }
+
+    /// The values of the items covering expanded positions `first <=
+    /// second` (0-based), counted upward from the smallest item or,
+    /// when `from_top`, downward from the largest. The levels are
+    /// merged on the fly: each step takes the next item of whichever
+    /// level's remaining run holds the extreme value. Items that tie
+    /// under `f64::total_cmp` are bitwise equal, so which level yields
+    /// a tie first cannot change the answer.
+    fn values_at(&self, from_top: bool, first: u64, second: u64) -> (f64, f64) {
+        let mut runs: Vec<(&[f64], u64)> = self
+            .levels
+            .iter()
+            .enumerate()
+            .filter(|(_, level)| !level.is_empty())
+            .map(|(i, level)| (level.as_slice(), 1_u64 << i))
+            .collect();
+        let mut cum = 0_u64;
+        let mut first_value = None;
+        loop {
+            let (r, v) = if from_top {
+                runs.iter()
+                    .enumerate()
+                    .map(|(r, (run, _))| (r, run[run.len() - 1]))
+                    .max_by(|a, b| a.1.total_cmp(&b.1))
+            } else {
+                runs.iter()
+                    .enumerate()
+                    .map(|(r, (run, _))| (r, run[0]))
+                    .min_by(|a, b| a.1.total_cmp(&b.1))
+            }
+            .expect("both positions lie within the sketch's count");
+            let (run, w) = runs[r];
+            cum += w;
+            let rest = if from_top {
+                &run[..run.len() - 1]
+            } else {
+                &run[1..]
+            };
+            if rest.is_empty() {
+                runs.swap_remove(r);
+            } else {
+                runs[r].0 = rest;
+            }
+            if first < cum && first_value.is_none() {
+                first_value = Some(v);
+            }
+            if second < cum {
+                return (first_value.expect("first <= second"), v);
+            }
+        }
     }
 
     /// Compacts every over-full level, cascading promotions upward.
@@ -247,53 +308,39 @@ impl CellSketch {
             self.levels.push(Vec::new());
             self.compactions.push(0);
         }
-        let buf = std::mem::take(&mut self.levels[i]);
         let parity = (self.compactions[i] & 1) as usize;
+        let (lower, upper) = self.levels.split_at_mut(i + 1);
+        let buf = &mut lower[i];
         let even = buf.len() & !1;
-        let promoted: Vec<f64> = buf[..even]
-            .iter()
-            .copied()
-            .skip(parity)
-            .step_by(2)
-            .collect();
-        if even < buf.len() {
-            self.levels[i].push(buf[even]);
+        // Gather the promoted items into the buffer's front (each read
+        // index `2j + parity` is at or past its write index `j`).
+        for j in 0..even / 2 {
+            buf[j] = buf[2 * j + parity];
         }
+        merge_into(&mut upper[0], &buf[..even / 2]);
+        buf.drain(..even);
         self.compactions[i] += 1;
-        self.levels[i + 1] = merge_sorted(&self.levels[i + 1], &promoted);
     }
 }
 
-/// Index into the expanded weighted multiset: the value of the item
-/// covering expanded position `j` (0-based).
-fn value_at(items: &[(f64, u64)], j: u64) -> f64 {
-    let mut cum = 0_u64;
-    for &(v, w) in items {
-        cum += w;
-        if j < cum {
-            return v;
-        }
-    }
-    items.last().expect("non-empty items").0
-}
-
-/// Merges two ascending-sorted slices into a new ascending-sorted
-/// vector, preserving the bitwise order `f64::total_cmp` defines.
-fn merge_sorted(a: &[f64], b: &[f64]) -> Vec<f64> {
-    let mut out = Vec::with_capacity(a.len() + b.len());
-    let (mut i, mut j) = (0, 0);
-    while i < a.len() && j < b.len() {
-        if a[i].total_cmp(&b[j]).is_le() {
-            out.push(a[i]);
-            i += 1;
+/// Merges the ascending-sorted `src` into the ascending-sorted `dst`
+/// in place, preserving the bitwise order `f64::total_cmp` defines. The
+/// merge fills `dst` from the back, so it needs no scratch buffer. Growth
+/// is exact: an unbounded exact-mode level keeps no spare capacity.
+fn merge_into(dst: &mut Vec<f64>, src: &[f64]) {
+    let (mut i, mut j) = (dst.len(), src.len());
+    dst.reserve_exact(j);
+    dst.resize(i + j, 0.0);
+    while j > 0 {
+        let k = i + j - 1;
+        if i > 0 && dst[i - 1].total_cmp(&src[j - 1]).is_gt() {
+            dst[k] = dst[i - 1];
+            i -= 1;
         } else {
-            out.push(b[j]);
-            j += 1;
+            dst[k] = src[j - 1];
+            j -= 1;
         }
     }
-    out.extend_from_slice(&a[i..]);
-    out.extend_from_slice(&b[j..]);
-    out
 }
 
 #[cfg(test)]
@@ -304,6 +351,35 @@ mod tests {
 
     fn exact_quantile(sorted: &[f64], q: f64) -> f64 {
         percentile_sorted(sorted, q)
+    }
+
+    /// The materialize-and-sort quantile the merged walk replaced: the
+    /// reference [`CellSketch::quantile`] must match bit for bit.
+    fn quantile_by_sort(sketch: &CellSketch, q: f64) -> f64 {
+        if sketch.levels()[1..].iter().all(Vec::is_empty) {
+            return percentile_sorted(&sketch.levels()[0], q);
+        }
+        let mut items: Vec<(f64, u64)> = Vec::with_capacity(sketch.item_count());
+        for (i, level) in sketch.levels().iter().enumerate() {
+            items.extend(level.iter().map(|&v| (v, 1_u64 << i)));
+        }
+        items.sort_by(|a, b| a.0.total_cmp(&b.0));
+        let total: u64 = items.iter().map(|&(_, w)| w).sum();
+        let rank = q / 100.0 * (total - 1) as f64;
+        let lo = rank.floor() as u64;
+        let hi = rank.ceil() as u64;
+        let value_at = |j: u64| {
+            let mut cum = 0_u64;
+            for &(v, w) in &items {
+                cum += w;
+                if j < cum {
+                    return v;
+                }
+            }
+            items.last().expect("non-empty items").0
+        };
+        let (vlo, vhi) = (value_at(lo), value_at(hi));
+        vlo + (vhi - vlo) * (rank - lo as f64)
     }
 
     /// The sketch's documented guarantee, checked directly: for every
@@ -366,6 +442,56 @@ mod tests {
                 assert_within_bound(&s, &raw, q);
             }
         }
+    }
+
+    /// The merged-order walk answers bit-identically to sorting the
+    /// weighted items, on random bounded sketches with heavy ties (a
+    /// small value alphabet, signed zeros), several levels, and both
+    /// fixed and random percentiles, so both walk directions and the
+    /// interpolation straddle across levels are exercised.
+    #[test]
+    fn merged_walk_matches_sort_based_quantile_bit_for_bit() {
+        let mut rng = SeedDeriver::new(17).rng("sketch-walk");
+        let (mut checked, mut deep) = (0, 0);
+        for case in 0..600 {
+            let k = [8, 9, 16, 33][case % 4];
+            let mut s = CellSketch::new(Some(k));
+            let n = rng.gen_range(1..3000);
+            let alphabet = rng.gen_range(1..40);
+            for _ in 0..n {
+                let v = match case % 3 {
+                    0 => f64::from(rng.gen_range(0..alphabet)) - 3.0,
+                    1 => [0.0, -0.0, 1.5, -2.25][rng.gen_range(0..4)],
+                    _ => rng.gen_range(-1e3..1e4),
+                };
+                s.push(v);
+            }
+            // Merge a second sketch in now and then, so counters and
+            // levels come from more than one compaction history.
+            if case % 5 == 0 {
+                let mut other = CellSketch::new(Some(k));
+                for _ in 0..rng.gen_range(0..500) {
+                    other.push(f64::from(rng.gen_range(0..alphabet)));
+                }
+                s.merge(&other);
+            }
+            deep += usize::from(s.levels().len() > 3);
+            let mut qs = vec![0.0, 1.0, 50.0, 95.0, 99.9, 100.0];
+            qs.extend((0..6).map(|_| rng.gen_range(0.0..=100.0)));
+            for q in qs {
+                assert_eq!(
+                    s.quantile(q).to_bits(),
+                    quantile_by_sort(&s, q).to_bits(),
+                    "case {case} k={k} n={n} q={q} levels={}",
+                    s.levels().len()
+                );
+                checked += 1;
+            }
+        }
+        assert!(
+            checked >= 7000 && deep > 300,
+            "{checked} checks, {deep} deep"
+        );
     }
 
     #[test]

@@ -58,7 +58,6 @@ fn drift_cfg(model: ModelMode) -> ServiceConfig {
                 window: 12,
                 min_observations: 6,
                 z_threshold: 3.0,
-                percentile: 95.0,
             },
             retain_runs: 32,
         },
