@@ -20,7 +20,6 @@ use std::sync::Arc;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use jockey_cluster::{JobController, JobStatus};
-use jockey_core::alloc::{AllocationPolicy, ArgminPolicy, SpeculationLevel, SpeculativeArgmin};
 use jockey_core::predict::CompletionModel;
 use jockey_core::progress::{IndicatorContext, ProgressIndicator};
 use jockey_core::utility::UtilityFunction;
@@ -122,45 +121,5 @@ fn bench_control_plane(c: &mut Criterion) {
     group.finish();
 }
 
-/// Decision-core cost of the §4.3 argmin against its 2D extension:
-/// the 1D scan evaluates `max_allocation` candidates, the 2D scan
-/// `levels × max_allocation` — this pins the constant factor the
-/// speculation dimension adds per control tick.
-fn bench_speculative_argmin(c: &mut Criterion) {
-    let smoke = std::env::var_os("JOCKEY_BENCH_SMOKE").is_some();
-    let utility = UtilityFunction::deadline(SimDuration::from_mins(45));
-    let one_d = ArgminPolicy::new(
-        Arc::new(Toy { work: 36_000.0 }) as Arc<dyn CompletionModel>,
-        utility.clone(),
-        1,
-    );
-    // Three levels, as the controller would hold: off plus two
-    // clone-on-slow thresholds, each with its own C(p, a, s) surface
-    // (the toy stands in so the bench isolates scan structure).
-    let levels: Vec<SpeculationLevel> = [
-        ("off", 0u32, 36_000.0),
-        ("clone@2.0x", 2, 30_000.0),
-        ("clone@1.5x", 4, 27_000.0),
-    ]
-    .into_iter()
-    .map(|(label, clone_budget, work)| SpeculationLevel {
-        label: label.to_string(),
-        clone_budget,
-        model: Arc::new(Toy { work }) as Arc<dyn CompletionModel>,
-    })
-    .collect();
-    let two_d = SpeculativeArgmin::new(levels, utility, 1);
-
-    let mut group = c.benchmark_group("control_plane");
-    group.sample_size(if smoke { 3 } else { 20 });
-    group.bench_function("argmin_1d", |b| {
-        b.iter(|| std::hint::black_box(one_d.raw_allocation(&[0.25], 0.25, 300.0, 1.0)));
-    });
-    group.bench_function("argmin_2d_speculative", |b| {
-        b.iter(|| std::hint::black_box(two_d.raw_decision(&[0.25], 0.25, 300.0, 1.0)));
-    });
-    group.finish();
-}
-
-criterion_group!(benches, bench_control_plane, bench_speculative_argmin);
+criterion_group!(benches, bench_control_plane);
 criterion_main!(benches);

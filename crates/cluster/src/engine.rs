@@ -3,14 +3,14 @@
 //! [`EngineCore`] owns the mutable simulation state — jobs, the event
 //! queue, the background model, diagnostics — and the *mechanics* every
 //! policy layer composes: starting task attempts, killing or evicting
-//! running tasks, and rolling back lost outputs. The [`Engine`] drives
+//! running tasks, and rolling back lost outputs. The `Engine` drives
 //! the discrete-event loop and delegates every policy decision through
 //! two trait seams:
 //!
-//! - [`SchedulerPolicy`](crate::scheduler::SchedulerPolicy) — token and
+//! - [`SchedulerPolicy`] — token and
 //!   spare-capacity arbitration (who runs, in which class, who is
 //!   evicted under pressure);
-//! - [`FailureModel`](crate::failure::FailureModel) — task-attempt
+//! - [`FailureModel`] — task-attempt
 //!   failures, machine-failure arrivals and their blast radius.
 //!
 //! Implementation notes that matter:
@@ -357,8 +357,7 @@ impl JobRun {
 /// The mutable simulation state plus the mechanics every policy layer
 /// composes.
 ///
-/// A [`SchedulerPolicy`](crate::scheduler::SchedulerPolicy) or
-/// [`FailureModel`](crate::failure::FailureModel) receives `&mut
+/// A [`SchedulerPolicy`] or [`FailureModel`] receives `&mut
 /// EngineCore` and acts through the mechanics methods ([`start_task`]
 /// [`evict_spare`], [`kill_running_tasks`], ...) — the engine keeps the
 /// event queue, stale-attempt filtering and accounting consistent so
@@ -581,11 +580,9 @@ impl EngineCore {
     /// Launches a speculative clone of a *running* task of job `j` on
     /// an idle token (clone-on-slow). The clone races its straggling
     /// sibling; whichever attempt finishes first wins and the losers
-    /// are killed ([`task_done_mechanics`]'s kill-on-first-finish).
+    /// are killed (`task_done_mechanics`'s kill-on-first-finish).
     /// Returns `false` (and does nothing) if the task is not running —
     /// it may have completed between the watcher's scan and this call.
-    ///
-    /// [`task_done_mechanics`]: crate::engine::Engine
     pub fn start_clone(&mut self, j: usize, task: TaskId, now: SimTime, slowdown: f64) -> bool {
         if !matches!(self.jobs[j].task_state(task), TaskState::Running { .. }) {
             return false;

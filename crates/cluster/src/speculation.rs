@@ -6,7 +6,7 @@
 //! clone-on-slow with kill-on-first-finish, PCS's argument that the
 //! scheduler should *expose* such knobs) makes speculation a first-class
 //! control dimension instead. This module is the trait seam: the engine
-//! dispatches a periodic [`Event::SpeculationTick`] to whichever
+//! dispatches a periodic `Event::SpeculationTick` to whichever
 //! [`SpeculationPolicy`] is installed, and the policy acts through the
 //! [`EngineCore`] mechanics — inspect running attempts, launch clones
 //! with [`EngineCore::start_clone`]. Kill-on-first-finish itself lives
@@ -18,8 +18,6 @@
 //! [`ClusterConfig`](crate::config::ClusterConfig) it declares no watch
 //! period, no `SpeculationTick` is ever scheduled, and the event stream
 //! is bit-identical to the pre-speculation engine.
-//!
-//! [`Event::SpeculationTick`]: crate::engine::Event
 
 use jockey_simrt::observe;
 use jockey_simrt::observe::EntryKind;
@@ -64,7 +62,7 @@ impl SpeculationPolicy for NoSpeculation {
 /// Each watch tick compares every non-clone running attempt against its
 /// *expected occupancy* — the per-stage queue/runtime distribution
 /// means pushed through the engine's shared
-/// [`attempt_timing`](crate::engine::attempt_timing) derivation, so
+/// `attempt_timing` derivation, so
 /// watcher and engine use one formula. An attempt whose elapsed
 /// occupancy exceeds `slowdown_threshold` times its expectation gets a
 /// clone, provided:

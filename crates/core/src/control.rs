@@ -16,22 +16,18 @@
 //!    allowed; and **hysteresis** smooths the move:
 //!    `A^s_t = A^s_{t−1} + α (A^r − A^s_{t−1})`.
 //!
-//! Steps 2–3 are the pure [`ArgminPolicy`](crate::alloc::ArgminPolicy)
-//! core; step 4 is the [`ConditionerPipeline`] of composable stages
-//! (slack → dead-zone gate → hysteresis → min clamp).
-//! [`JockeyController`] composes the two behind the `JobController`
-//! seam and journals every decision into a [`ControlTrace`] (plus a
-//! per-stage [`PipelineTrace`](crate::conditioner::PipelineTrace)).
+//! Steps 2–3 are the pure [`ArgminPolicy`] core; step 4 is straight-line
+//! code in [`JockeyController`]'s tick (dead-zone gate, hysteresis EWMA,
+//! then `⌈·⌉` and the min-allocation clamp), which returns every
+//! decision as a [`ControlDecision`] for the engine's per-run trace.
 
-use std::collections::VecDeque;
 use std::fmt;
 use std::sync::Arc;
 
 use jockey_cluster::{ControlDecision, JobController, JobStatus};
 use jockey_simrt::time::SimDuration;
 
-use crate::alloc::{AllocationPolicy, ArgminPolicy};
-use crate::conditioner::{ahead_of_schedule, behind_schedule, ConditionerPipeline, StageCtx};
+use crate::alloc::ArgminPolicy;
 use crate::predict::CompletionModel;
 use crate::progress::IndicatorContext;
 use crate::utility::UtilityFunction;
@@ -123,106 +119,25 @@ impl ControlParams {
     }
 }
 
-/// One control decision as the controller saw it: the inputs, the raw
-/// and smoothed allocations, and the dead-zone verdicts that gated the
-/// move. Recorded every tick into a [`ControlTrace`].
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct ControlTick {
-    /// Elapsed job time `t_r` in seconds.
-    pub elapsed_secs: f64,
-    /// Progress indicator value `p` in `[0, 1]`.
-    pub progress: f64,
-    /// Raw allocation `A^r`.
-    pub raw: f64,
-    /// Smoothed allocation `A^s` after hysteresis.
-    pub smoothed: f64,
-    /// Whether the job was at least `D` behind schedule (the increase
-    /// gate) at the allocation in force.
-    pub behind: bool,
-    /// Whether the job was at least `D` ahead of the shifted schedule
-    /// (a diagnostic margin verdict; decreases are not gated on it).
-    pub ahead: bool,
-    /// The applied guarantee.
-    pub guarantee: u32,
-    /// Predicted completion time in seconds from job start.
-    pub predicted_completion_secs: f64,
-    /// Whether the job had already finished at this tick.
-    pub finished: bool,
-}
-
-/// A bounded journal of [`ControlTick`] records (most recent
-/// `capacity` kept), attached to every [`JockeyController`].
-#[derive(Clone, Debug)]
-pub struct ControlTrace {
-    capacity: usize,
-    ticks: VecDeque<ControlTick>,
-}
-
-impl Default for ControlTrace {
-    fn default() -> Self {
-        ControlTrace::new(4096)
-    }
-}
-
-impl ControlTrace {
-    /// Creates a trace retaining at most `capacity` ticks (clamped to
-    /// at least 1).
-    pub fn new(capacity: usize) -> Self {
-        ControlTrace {
-            capacity: capacity.max(1),
-            ticks: VecDeque::new(),
-        }
-    }
-
-    /// Records one tick, evicting the oldest beyond capacity.
-    pub fn record(&mut self, tick: ControlTick) {
-        if self.ticks.len() == self.capacity {
-            self.ticks.pop_front();
-        }
-        self.ticks.push_back(tick);
-    }
-
-    /// Number of retained ticks.
-    pub fn len(&self) -> usize {
-        self.ticks.len()
-    }
-
-    /// True if no tick has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.ticks.is_empty()
-    }
-
-    /// The retained ticks, oldest first.
-    pub fn iter(&self) -> impl Iterator<Item = &ControlTick> {
-        self.ticks.iter()
-    }
-
-    /// The most recent tick.
-    pub fn last(&self) -> Option<&ControlTick> {
-        self.ticks.back()
-    }
-}
-
 /// Jockey's adaptive controller: a completion model (simulator-trained
 /// `C(p, a)` or Amdahl) driven through the §4.3 control policy.
 ///
-/// Internally this is thin composition: the pure
-/// [`ArgminPolicy`] picks the raw allocation, the
-/// [`ConditionerPipeline`] conditions it (slack, dead zone,
-/// hysteresis, clamp), and the controller wires job status in and
-/// journals decisions out.
+/// The pure [`ArgminPolicy`] picks the raw allocation with predictions
+/// inflated by the slack; the tick then gates increases on the dead
+/// zone, smooths with the hysteresis EWMA and clamps to
+/// `min_allocation`.
 pub struct JockeyController {
     policy: ArgminPolicy,
     indicator: IndicatorContext,
     utility: UtilityFunction,
-    pipeline: ConditionerPipeline,
     params: ControlParams,
-    /// Tick-by-tick decision journal.
-    trace: ControlTrace,
+    /// The smoothed allocation in force (`A^s_{t−1}`); `None` before
+    /// the first decision and after a deadline change.
+    smoothed: Option<f64>,
 }
 
 impl JockeyController {
-    /// Creates a controller with the stock §4.3 conditioning stack.
+    /// Creates a controller with the §4.3 conditioning.
     ///
     /// # Panics
     ///
@@ -233,50 +148,15 @@ impl JockeyController {
         utility: UtilityFunction,
         params: ControlParams,
     ) -> Self {
-        let pipeline = {
-            params.validate();
-            ConditionerPipeline::standard(&params)
-        };
-        JockeyController::with_pipeline(model, indicator, utility, params, pipeline)
-    }
-
-    /// Creates a controller with a custom conditioning pipeline.
-    /// `params` still supplies the dead-zone utility shift, the
-    /// min-allocation floor for the finished path, and the raw-argmin
-    /// scan bounds; the pipeline owns everything else.
-    ///
-    /// # Panics
-    ///
-    /// Panics on invalid [`ControlParams`].
-    pub fn with_pipeline(
-        model: Arc<dyn CompletionModel>,
-        indicator: IndicatorContext,
-        utility: UtilityFunction,
-        params: ControlParams,
-        pipeline: ConditionerPipeline,
-    ) -> Self {
         params.validate();
         let shifted_utility = utility.shifted_left(params.dead_zone);
         JockeyController {
             policy: ArgminPolicy::new(model, shifted_utility, params.min_allocation),
             indicator,
             utility,
-            pipeline,
             params,
-            trace: ControlTrace::default(),
+            smoothed: None,
         }
-    }
-
-    /// The tick-by-tick decision journal: inputs, raw/smoothed
-    /// allocations and dead-zone verdicts for the most recent ticks.
-    pub fn trace(&self) -> &ControlTrace {
-        &self.trace
-    }
-
-    /// The per-stage conditioning journal: how each pipeline stage
-    /// transformed the raw allocation, tick by tick.
-    pub fn pipeline_trace(&self) -> &crate::conditioner::PipelineTrace {
-        self.pipeline.trace()
     }
 
     /// The pure argmin decision core.
@@ -288,76 +168,59 @@ impl JockeyController {
     /// expected utility at progress `p` and elapsed time `t_r`.
     pub fn raw_allocation(&self, fs: &[f64], progress: f64, elapsed_secs: f64) -> u32 {
         self.policy
-            .raw_allocation(fs, progress, elapsed_secs, self.pipeline.inflation())
+            .raw_allocation(fs, progress, elapsed_secs, self.params.slack)
     }
 
-    /// The slack factor currently in force.
+    /// The conditioning parameters in force.
     pub fn params(&self) -> &ControlParams {
         &self.params
+    }
+
+    /// True when the job is at least `D` behind schedule: predicted, at
+    /// allocation `probe` and with slack, to finish past the
+    /// dead-zone-shifted deadline. With no deadline encoded there is
+    /// nothing to be behind, and the verdict is `true` (no gating).
+    fn behind_schedule(&self, fs: &[f64], progress: f64, elapsed_secs: f64, probe: u32) -> bool {
+        let Some(deadline) = self.utility.deadline_duration() else {
+            return true;
+        };
+        let remaining = self.params.slack * self.policy.model().remaining_secs(fs, progress, probe);
+        elapsed_secs + remaining > deadline.as_secs_f64() - self.params.dead_zone.as_secs_f64()
     }
 }
 
 impl JobController for JockeyController {
     fn tick(&mut self, status: &JobStatus) -> ControlDecision {
-        let tr = status.elapsed.as_secs_f64();
         if status.finished {
-            let g = self.params.min_allocation;
-            self.trace.record(ControlTick {
-                elapsed_secs: tr,
-                progress: 1.0,
-                raw: f64::from(g),
-                smoothed: self.pipeline.in_force().unwrap_or(f64::from(g)),
-                behind: false,
-                ahead: true,
-                guarantee: g,
-                predicted_completion_secs: tr,
-                finished: true,
-            });
-            return ControlDecision::simple(g);
+            return ControlDecision::simple(self.params.min_allocation);
         }
+        let tr = status.elapsed.as_secs_f64();
         let fs = &status.stage_fraction;
         let p = self.indicator.progress(fs);
-        let inflation = self.pipeline.inflation();
-        let raw = self.policy.raw_allocation(fs, p, tr, inflation);
+        let raw = self.policy.raw_allocation(fs, p, tr, self.params.slack);
 
-        let in_force = self.pipeline.in_force();
-        let ctx = StageCtx {
-            fs,
-            progress: p,
-            elapsed_secs: tr,
-            model: &**self.policy.model(),
-            utility: &self.utility,
-            inflation,
-            in_force,
+        let next = match self.smoothed {
+            // First decision: adopt the raw allocation outright — the
+            // pessimistic initial sizing of §1.
+            None => f64::from(raw),
+            Some(cur) => {
+                // Dead zone: an increase applies only when the job is
+                // at least `D` behind schedule at the allocation in
+                // force; decreases (releases, Fig. 6(c)) always pass.
+                let probe = (cur.round() as u32).max(self.params.min_allocation);
+                let target = if f64::from(raw) > cur && !self.behind_schedule(fs, p, tr, probe) {
+                    cur
+                } else {
+                    f64::from(raw)
+                };
+                // Hysteresis: A^s_t = A^s_{t−1} + α (target − A^s_{t−1}).
+                cur + self.params.hysteresis * (target - cur)
+            }
         };
-
-        // Diagnostic verdicts, evaluated at the allocation in force
-        // (the raw allocation itself on the first decision).
-        let probe = match in_force {
-            None => raw,
-            Some(cur) => (cur.round() as u32).max(self.params.min_allocation),
-        };
-        let behind = behind_schedule(&ctx, probe, self.params.dead_zone);
-        let ahead = ahead_of_schedule(&ctx, probe, self.params.dead_zone);
-
-        let conditioned = self.pipeline.run(f64::from(raw), &ctx);
-        // The smoothed allocation the pipeline now holds in force (the
-        // hysteresis output); the clamp output when no stage smooths.
-        let next = self.pipeline.in_force().unwrap_or(conditioned);
-        let guarantee = (conditioned as u32).max(self.params.min_allocation);
+        self.smoothed = Some(next);
+        let guarantee = (next.ceil() as u32).max(self.params.min_allocation);
 
         let predicted = tr + self.policy.model().remaining_secs(fs, p, guarantee);
-        self.trace.record(ControlTick {
-            elapsed_secs: tr,
-            progress: p,
-            raw: f64::from(raw),
-            smoothed: next,
-            behind,
-            ahead,
-            guarantee,
-            predicted_completion_secs: predicted,
-            finished: false,
-        });
         ControlDecision {
             guarantee,
             raw: Some(f64::from(raw)),
@@ -376,7 +239,7 @@ impl JobController for JockeyController {
         // deadline cannot afford a multi-period ramp, and a relaxed one
         // should release its over-provision immediately (§5.2 reports
         // 63–83% released on doubling/tripling).
-        self.pipeline.reset();
+        self.smoothed = None;
     }
 }
 
@@ -542,46 +405,52 @@ mod tests {
         assert_eq!(with.raw_allocation(&[0.0], 0.0, 0.0), 2);
     }
 
-    #[test]
-    fn dead_zone_gate_blocks_increases_when_on_schedule() {
-        // A model whose raw allocation can exceed the current one even
-        // while the current allocation is on schedule: remaining time
-        // is flat in `a` below 10 tokens, so the argmin lands high when
-        // the tail begins to matter, but the current small allocation
-        // already meets the shifted deadline.
-        struct Step;
-        impl CompletionModel for Step {
-            fn remaining_secs(&self, _fs: &[f64], progress: f64, a: u32) -> f64 {
-                let base = (1.0 - progress) * 2_000.0;
-                if a >= 10 {
-                    base * 0.5
-                } else {
-                    base
-                }
-            }
-            fn max_allocation(&self) -> u32 {
-                100
-            }
-        }
+    /// Ticks a 3600 s-of-work job (hysteresis 0.25, no slack, no dead
+    /// zone) through raw allocations 1, 3, 2, 2, 3 and returns its
+    /// guarantees. After the second tick `A^s = 1.5`, which rounds to a
+    /// 2-token probe: ticks three and four propose 2 > 1.5 while 2 tokens
+    /// meet the deadline, so the dead zone holds `A^s` at 1.5; tick five
+    /// proposes 3 while 2 tokens miss, so that increase passes.
+    fn gate_script(utility: UtilityFunction) -> Vec<u32> {
         let params = ControlParams {
             slack: 1.0,
-            hysteresis: 1.0,
-            dead_zone: SimDuration::from_mins(3),
+            hysteresis: 0.25,
+            dead_zone: SimDuration::ZERO,
             min_allocation: 1,
         };
         let mut c = JockeyController::new(
-            Arc::new(Step),
+            Arc::new(ToyModel {
+                work: 3_600.0,
+                max: 100,
+            }),
             indicator(),
-            UtilityFunction::deadline(SimDuration::from_mins(60)),
+            utility,
             params,
         );
-        // First decision adopts the raw allocation (1: 2000 s meets the
-        // 57-minute shifted deadline at any allocation).
-        let g0 = c.tick(&status(0.0, 0.0, 0)).guarantee;
-        assert_eq!(g0, 1);
-        // Still on schedule later: no escalation.
-        let g1 = c.tick(&status(0.5, 10.0, g0)).guarantee;
-        assert_eq!(g1, 1);
+        let mut guarantee = 0;
+        let mut out = Vec::new();
+        for (frac, mins, raw) in [
+            (0.05, 0.0, 1.0),
+            (0.05, 40.0, 3.0),
+            (0.5, 42.0, 2.0),
+            (0.55, 43.0, 2.0),
+            (0.55, 50.0, 3.0),
+        ] {
+            let d = c.tick(&status(frac, mins, guarantee));
+            assert_eq!(d.raw, Some(raw), "at minute {mins}");
+            guarantee = d.guarantee;
+            out.push(guarantee);
+        }
+        out
+    }
+
+    #[test]
+    fn dead_zone_gate_blocks_increases_when_on_schedule() {
+        // Gated: A^s = 1, 1.5, 1.5, 1.5, 1.875. Ungated, the two held
+        // ticks would have moved it to 1.625 and 1.71875, and the last
+        // to 2.0390625 — a third token.
+        let g = gate_script(UtilityFunction::deadline(SimDuration::from_mins(60)));
+        assert_eq!(g, [1, 2, 2, 2, 2]);
     }
 
     #[test]
@@ -735,20 +604,22 @@ mod tests {
         );
         let g0 = c.tick(&status(0.0, 0.0, 0)).guarantee;
         assert_eq!(g0, 2);
-        // 50 minutes in and nearly done: completion at the current
-        // allocation lands inside the dead zone, and a single token now
-        // suffices.
+        // 50 minutes in and nearly done: a single token now suffices,
+        // and completion at the 2 tokens in force lands inside the dead
+        // zone — neither D behind (after 55 min) nor D ahead (before
+        // 50 min) of the deadline.
         let d = c.tick(&status(0.984, 50.0, g0));
-        let last = *c.trace().last().unwrap();
+        let at_current = 3_000.0 + TwoTier { work: 13_000.0 }.remaining_secs(&[0.984], 0.984, 2);
         assert!(
-            !last.behind && !last.ahead,
-            "expected the dead-zone middle: {last:?}"
+            at_current > 3_000.0 && at_current <= 3_300.0,
+            "expected the dead-zone middle: {at_current}"
         );
+        assert_eq!(d.raw, Some(1.0));
         assert_eq!(d.guarantee, 1, "release must not wait for the ahead margin");
     }
 
     #[test]
-    fn trace_records_every_tick() {
+    fn every_tick_reports_its_decision() {
         let params = ControlParams {
             slack: 1.0,
             hysteresis: 0.5,
@@ -756,32 +627,28 @@ mod tests {
             min_allocation: 1,
         };
         let mut c = controller(6_000.0, 60, params);
-        assert!(c.trace().is_empty());
         let d0 = c.tick(&status(0.0, 0.0, 0));
+        assert_eq!(d0.guarantee, 2);
+        // 30 min in with zero progress is behind at the 2 tokens in
+        // force, so the increase to a raw 4 passes the gate; hysteresis
+        // takes it halfway, and the prediction is at the applied 3.
         let d1 = c.tick(&status(0.0, 30.0, 2));
-        assert_eq!(c.trace().len(), 2);
-        let ticks: Vec<ControlTick> = c.trace().iter().copied().collect();
-        assert_eq!(ticks[0].guarantee, d0.guarantee);
-        assert_eq!(Some(ticks[1].raw), d1.raw);
-        assert_eq!(Some(ticks[1].progress), d1.progress);
-        assert_eq!(
-            Some(ticks[1].predicted_completion_secs),
-            d1.predicted_completion
-        );
-        assert!(ticks[1].behind, "30 min in with zero progress is behind");
-        assert!(!ticks[1].finished);
-        assert_eq!(ticks[1].elapsed_secs, 1800.0);
+        assert_eq!(d1.raw, Some(4.0));
+        assert_eq!(d1.progress, Some(0.0));
+        assert_eq!(d1.guarantee, 3);
+        assert_eq!(d1.predicted_completion, Some(1_800.0 + 2_000.0));
     }
 
     #[test]
-    fn finished_ticks_are_recorded() {
-        let mut c = controller(6_000.0, 60, ControlParams::default());
+    fn finished_ticks_report_the_minimum_without_diagnostics() {
+        let params = ControlParams {
+            min_allocation: 2,
+            ..ControlParams::default()
+        };
+        let mut c = controller(6_000.0, 60, params);
         c.tick(&status(0.0, 0.0, 0));
-        c.tick(&status(1.0, 20.0, 5));
-        let last = c.trace().last().unwrap();
-        assert!(last.finished);
-        assert_eq!(last.guarantee, 1);
-        assert_eq!(last.progress, 1.0);
+        let d = c.tick(&status(1.0, 20.0, 5));
+        assert_eq!(d, ControlDecision::simple(2));
     }
 
     #[test]
@@ -822,51 +689,16 @@ mod tests {
 
     #[test]
     fn no_deadline_disables_dead_zone_gating() {
-        // A utility with no deadline encoded: both dead-zone verdicts
-        // report `true` (nothing to be behind or ahead of), so the
-        // controller simply chases the raw allocation.
-        let params = ControlParams {
-            slack: 1.0,
-            hysteresis: 1.0,
-            dead_zone: SimDuration::from_mins(3),
-            min_allocation: 1,
-        };
-        let mut c = JockeyController::new(
-            Arc::new(ToyModel {
-                work: 6_000.0,
-                max: 100,
-            }),
-            indicator(),
-            UtilityFunction::from_knots(vec![(0.0, 1.0), (10_000.0, 0.0)]),
-            params,
-        );
-        c.tick(&status(0.0, 0.0, 0));
-        c.tick(&status(0.1, 30.0, 1));
-        for t in c.trace().iter() {
-            assert!(t.behind && t.ahead, "no deadline: both gates open: {t:?}");
-        }
-    }
-
-    #[test]
-    fn trace_capacity_evicts_oldest() {
-        let mut tr = ControlTrace::new(2);
-        let tick = |e: f64| ControlTick {
-            elapsed_secs: e,
-            progress: 0.0,
-            raw: 1.0,
-            smoothed: 1.0,
-            behind: false,
-            ahead: false,
-            guarantee: 1,
-            predicted_completion_secs: 0.0,
-            finished: false,
-        };
-        tr.record(tick(1.0));
-        tr.record(tick(2.0));
-        tr.record(tick(3.0));
-        assert_eq!(tr.len(), 2);
-        let kept: Vec<f64> = tr.iter().map(|t| t.elapsed_secs).collect();
-        assert_eq!(kept, vec![2.0, 3.0]);
-        assert_eq!(tr.last().unwrap().elapsed_secs, 3.0);
+        // The gate script's utility shape with no deadline encoded:
+        // there is nothing to be behind, so every increase passes and
+        // the held ticks of `dead_zone_gate_blocks_increases_when_on_schedule`
+        // move A^s to 1.625 and 1.71875, and the last tick to 2.04.
+        let g = gate_script(UtilityFunction::from_knots(vec![
+            (0.0, 1.0),
+            (3_600.0, 1.0),
+            (4_200.0, -1.0),
+            (63_600.0, -1000.0),
+        ]));
+        assert_eq!(g, [1, 2, 2, 2, 3]);
     }
 }

@@ -19,7 +19,7 @@
 //! # Living models
 //!
 //! Each `(allocation, bin)` cell is a mergeable
-//! [`CellSketch`](crate::sketch::CellSketch), so a completed run folds
+//! [`CellSketch`], so a completed run folds
 //! into the model with [`CpaModel::absorb`] at the cost of the cells it
 //! lands in and their table rows — no retraining. With the default
 //! `sketch_capacity: None` the sketches are *exact* (plain sorted
@@ -70,7 +70,7 @@ pub struct TrainConfig {
     /// byte-identical to the pre-sketch format. `Some(k)` bounds each
     /// sketch level at `k` items, trading memory for the tracked
     /// rank-error bound documented on
-    /// [`CellSketch`](crate::sketch::CellSketch).
+    /// [`CellSketch`].
     pub sketch_capacity: Option<usize>,
     /// Optional physical topology for the training simulations. `None`
     /// (the default) trains against the legacy flat dedicated cluster;
@@ -84,7 +84,7 @@ pub struct TrainConfig {
     /// surface — each allocation `a` simulates with `clone_budget` idle
     /// tokens held aside for clones, so the learned completion times
     /// reflect the cloning policy *and* the total reserved footprint
-    /// `a + clone_budget` the 2D controller prices (§4.3 extended).
+    /// `a + clone_budget` speculative admission reserves.
     pub speculation: Option<jockey_cluster::SpeculationConfig>,
 }
 
@@ -184,7 +184,7 @@ pub enum InvalidTrainConfig {
     /// `sample_period` must be positive.
     SamplePeriod,
     /// `sketch_capacity` must be at least
-    /// [`MIN_SKETCH_CAPACITY`](crate::sketch::MIN_SKETCH_CAPACITY).
+    /// [`MIN_SKETCH_CAPACITY`].
     SketchCapacity(usize),
 }
 
@@ -1083,8 +1083,8 @@ fn train_one_allocation(
         if let Some(sp) = &cfg.speculation {
             // The clone budget rides on top of the allocation: training
             // at `a` under speculation level `s` simulates exactly the
-            // `a + clone_budget(s)` token footprint the 2D controller
-            // reserves, with the extra tokens idle unless a straggler
+            // `a + clone_budget(s)` token footprint speculative
+            // admission reserves, with the extra tokens idle unless a straggler
             // draws a clone onto them.
             sim_cfg.total_tokens = allocation + sp.clone_budget;
             sim_cfg.max_guarantee = allocation;

@@ -16,15 +16,12 @@
 //! - [`progress`]: the six **job progress indicators** of §4.2/§5.4
 //!   (`totalworkWithQ`, `totalwork`, `vertexfrac`, `cp`, `minstage`,
 //!   `minstage-inf`).
-//! - [`control`]: the **resource-allocation control loop** (§4.3) with
-//!   slack, hysteresis and dead zone — composed from the pure
-//!   [`alloc::ArgminPolicy`] decision core and the
-//!   [`conditioner`] stage pipeline.
-//! - [`alloc`]: the side-effect-free **allocation policy** seam
-//!   (progress → candidate utilities → raw argmin).
-//! - [`conditioner`]: §4.3's conditioning mechanisms (slack, dead-zone
-//!   gate, hysteresis EWMA, min clamp) as **composable stages** with
-//!   per-stage trace attribution.
+//! - [`control`]: the **resource-allocation control loop** (§4.3):
+//!   the [`alloc::ArgminPolicy`] decision core followed by slack, the
+//!   dead-zone gate on increases and the hysteresis EWMA.
+//! - [`alloc`]: the side-effect-free **argmin** (progress → expected
+//!   utilities → raw allocation) and the speculation levels plane
+//!   admission sizes.
 //! - [`layer`]: the **control-layer middleware** seam — fallback and
 //!   recalibration stack as decorators over any controller.
 //! - [`plane`]: the **multi-job control plane**: N concurrent SLO jobs
@@ -60,7 +57,6 @@
 pub mod admission;
 pub mod alloc;
 pub mod arbiter;
-pub mod conditioner;
 pub mod control;
 pub mod cpa;
 pub mod fallback;
@@ -76,16 +72,8 @@ pub mod sketch;
 pub mod utility;
 
 pub use admission::{AdmissionController, AdmissionError, Reservation};
-pub use alloc::{
-    AllocationPolicy, ArgminPolicy, SpeculationLevel, SpeculativeArgmin, SpeculativeDecision,
-};
-pub use conditioner::{
-    ConditionStage, ConditionerPipeline, DeadZoneGate, HysteresisEwma, MinClamp, PipelineTrace,
-    SlackStage, StageCtx, StageStep, TickAttribution,
-};
-pub use control::{
-    ControlParams, ControlTick, ControlTrace, InvalidControlParams, JockeyController,
-};
+pub use alloc::{ArgminPolicy, SpeculationLevel, SpeculativeDecision};
+pub use control::{ControlParams, InvalidControlParams, JockeyController};
 pub use cpa::{CpaModel, InvalidTrainConfig, ModelLoadError, RunObservation, TrainConfig};
 pub use fallback::FallbackLayer;
 pub use layer::{ControlLayer, Layered};

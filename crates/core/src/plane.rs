@@ -69,6 +69,7 @@ use jockey_cluster::{ControlDecision, JobController, JobStatus};
 use jockey_simrt::time::SimDuration;
 
 use crate::admission::{AdmissionController, AdmissionError};
+use crate::alloc::{SpeculationLevel, SpeculativeDecision};
 use crate::arbiter::{CurveTable, JobView};
 use crate::online::ModelLifecycleStats;
 use crate::predict::CompletionModel;
@@ -157,7 +158,7 @@ pub struct PlaneStats {
     pub prior_hits: u64,
     /// Cold-start prior-library misses across registered stores.
     pub prior_misses: u64,
-    /// Jobs admitted through the 2D speculative path
+    /// Jobs admitted through the speculative path
     /// ([`ControlPlane::try_add_job_speculative`]) with a non-zero
     /// clone budget — i.e. admissions where speculation actually won
     /// the (allocation, level) search.
@@ -165,12 +166,6 @@ pub struct PlaneStats {
     /// Cumulative clone-budget tokens priced into reservations by
     /// speculative admissions.
     pub clone_tokens_reserved: u64,
-    /// Clone attempts launched by jobs reporting through
-    /// [`ControlPlane::record_speculation`].
-    pub clone_tasks_launched: u64,
-    /// Straggler races won by a clone, reported through
-    /// [`ControlPlane::record_speculation`].
-    pub clone_wins: u64,
 }
 
 /// The sharded multi-job control runtime.
@@ -220,8 +215,6 @@ pub struct ControlPlane {
     over_committed_rounds: AtomicU64,
     speculative_admissions: AtomicU64,
     clone_tokens_reserved: AtomicU64,
-    clone_tasks_launched: AtomicU64,
-    clone_wins: AtomicU64,
     /// Lifecycle counters of the online model stores serving this
     /// plane's jobs, registered via
     /// [`ControlPlane::register_model_stats`] and summed into
@@ -259,8 +252,6 @@ impl ControlPlane {
             over_committed_rounds: AtomicU64::new(0),
             speculative_admissions: AtomicU64::new(0),
             clone_tokens_reserved: AtomicU64::new(0),
-            clone_tasks_launched: AtomicU64::new(0),
-            clone_wins: AtomicU64::new(0),
             model_stats: Mutex::new(Vec::new()),
         })
     }
@@ -310,26 +301,24 @@ impl ControlPlane {
         deadline: SimDuration,
         slack: f64,
     ) -> Result<JobHandle, AdmissionError> {
-        let stage_count = indicator.stage_count();
-        let fresh = vec![0.0; stage_count];
-        let required = self
-            .ledger
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .try_admit(name, model.as_ref(), &fresh, deadline, slack)?;
-        let slot = self.new_slot(
+        let level = SpeculationLevel {
+            label: String::new(),
+            clone_budget: 0,
             model,
+        };
+        self.admit_cheapest_level(
+            name,
+            std::slice::from_ref(&level),
+            indicator,
+            deadline,
             slack,
-            stage_count,
-            UtilityFunction::deadline(deadline),
-            required,
-        );
-        Ok(self.admit_slot(slot, indicator, Some(name.to_string())))
+        )
+        .map(|(handle, _)| handle)
     }
 
-    /// Admits an SLO job through the 2D (allocation, speculation)
-    /// search: sizes each level's minimum deadline-meeting allocation
-    /// from its own `C(p, a, s)` surface, picks the level with the
+    /// Admits an SLO job at its cheapest speculation level: sizes each
+    /// level's minimum deadline-meeting allocation from its own
+    /// `C(p, a, s)` surface, picks the level with the
     /// smallest *total* token cost `a + clone_budget(s)` (ties go to
     /// the lower level), and reserves the full total in the plane's
     /// ledger — a clone token held for straggler races is priced
@@ -344,10 +333,11 @@ impl ControlPlane {
     ///
     /// # Errors
     ///
+    /// The errors of [`ControlPlane::try_add_job`], checked in the same
+    /// order: [`AdmissionError::DuplicateName`] first, then
     /// [`AdmissionError::Infeasible`] when no level has a
-    /// deadline-meeting allocation, and the same capacity/duplicate
-    /// errors as [`ControlPlane::try_add_job`] — capacity is judged
-    /// against the chosen level's *total* cost.
+    /// deadline-meeting allocation, then capacity — judged against the
+    /// chosen level's *total* cost.
     ///
     /// # Panics
     ///
@@ -355,47 +345,62 @@ impl ControlPlane {
     pub fn try_add_job_speculative(
         self: &Arc<Self>,
         name: &str,
-        levels: &[crate::alloc::SpeculationLevel],
+        levels: &[SpeculationLevel],
         indicator: IndicatorContext,
         deadline: SimDuration,
         slack: f64,
-    ) -> Result<(JobHandle, crate::alloc::SpeculativeDecision), AdmissionError> {
+    ) -> Result<(JobHandle, SpeculativeDecision), AdmissionError> {
         assert!(!levels.is_empty(), "need at least one speculation level");
+        self.admit_cheapest_level(name, levels, indicator, deadline, slack)
+    }
+
+    /// The one admission body behind [`ControlPlane::try_add_job`] and
+    /// [`ControlPlane::try_add_job_speculative`]. Under the ledger lock
+    /// it rejects a live duplicate name, sizes each level's minimum
+    /// deadline-meeting allocation from fresh predictions, picks the
+    /// smallest total `a + clone_budget` (ties keep the earlier level)
+    /// and reserves that total.
+    fn admit_cheapest_level(
+        self: &Arc<Self>,
+        name: &str,
+        levels: &[SpeculationLevel],
+        indicator: IndicatorContext,
+        deadline: SimDuration,
+        slack: f64,
+    ) -> Result<(JobHandle, SpeculativeDecision), AdmissionError> {
         let stage_count = indicator.stage_count();
         let fresh = vec![0.0; stage_count];
-        let mut best: Option<(crate::alloc::SpeculativeDecision, u32)> = None;
-        for (s, level) in levels.iter().enumerate() {
-            let Some(a) = level.model.size_for_deadline(&fresh, deadline, slack) else {
-                continue;
-            };
-            let total = a + level.clone_budget;
-            // Ascending level order: a tie on total cost keeps the
-            // earlier (less speculative) level.
-            if best.is_none_or(|(d, _)| total < d.total_tokens) {
-                best = Some((
-                    crate::alloc::SpeculativeDecision {
+        let decision = {
+            let mut ledger = self.ledger.lock().unwrap_or_else(PoisonError::into_inner);
+            if ledger.contains(name) {
+                return Err(AdmissionError::DuplicateName);
+            }
+            let mut best: Option<SpeculativeDecision> = None;
+            for (s, level) in levels.iter().enumerate() {
+                let Some(a) = level.model.size_for_deadline(&fresh, deadline, slack) else {
+                    continue;
+                };
+                let total = a + level.clone_budget;
+                if best.is_none_or(|d| total < d.total_tokens) {
+                    best = Some(SpeculativeDecision {
                         allocation: a,
                         level: s,
                         total_tokens: total,
-                    },
-                    level.clone_budget,
-                ));
+                    });
+                }
             }
-        }
-        let Some((decision, clone_budget)) = best else {
-            return Err(AdmissionError::Infeasible);
+            let decision = best.ok_or(AdmissionError::Infeasible)?;
+            ledger.try_reserve(name, decision.total_tokens)?;
+            decision
         };
-        self.ledger
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .try_reserve(name, decision.total_tokens)?;
-        if clone_budget > 0 {
+        let level = &levels[decision.level];
+        if level.clone_budget > 0 {
             self.speculative_admissions.fetch_add(1, Ordering::Relaxed);
             self.clone_tokens_reserved
-                .fetch_add(u64::from(clone_budget), Ordering::Relaxed);
+                .fetch_add(u64::from(level.clone_budget), Ordering::Relaxed);
         }
         let slot = self.new_slot(
-            levels[decision.level].model.clone(),
+            level.model.clone(),
             slack,
             stage_count,
             UtilityFunction::deadline(deadline),
@@ -405,16 +410,6 @@ impl ControlPlane {
             self.admit_slot(slot, indicator, Some(name.to_string())),
             decision,
         ))
-    }
-
-    /// Folds one finished job's speculation counters (clone attempts
-    /// launched, races won) into the plane's stats. The cluster engine
-    /// owns these counts — callers report them from the run's
-    /// `JobResult` when it completes.
-    pub fn record_speculation(&self, clones_launched: u64, clone_wins: u64) {
-        self.clone_tasks_launched
-            .fetch_add(clones_launched, Ordering::Relaxed);
-        self.clone_wins.fetch_add(clone_wins, Ordering::Relaxed);
     }
 
     fn new_slot(
@@ -524,8 +519,6 @@ impl ControlPlane {
             over_committed_rounds: self.over_committed_rounds.load(Ordering::Relaxed),
             speculative_admissions: self.speculative_admissions.load(Ordering::Relaxed),
             clone_tokens_reserved: self.clone_tokens_reserved.load(Ordering::Relaxed),
-            clone_tasks_launched: self.clone_tasks_launched.load(Ordering::Relaxed),
-            clone_wins: self.clone_wins.load(Ordering::Relaxed),
             ..PlaneStats::default()
         };
         for m in self
@@ -1383,14 +1376,14 @@ mod tests {
         }
     }
 
-    fn tail_levels(work: f64, tail: f64, clone_budget: u32) -> Vec<crate::alloc::SpeculationLevel> {
+    fn tail_levels(work: f64, tail: f64, clone_budget: u32) -> Vec<SpeculationLevel> {
         vec![
-            crate::alloc::SpeculationLevel {
+            SpeculationLevel {
                 label: "off".into(),
                 clone_budget: 0,
                 model: Arc::new(TailToy { work, tail }),
             },
-            crate::alloc::SpeculationLevel {
+            SpeculationLevel {
                 label: "clone@2.0x".into(),
                 clone_budget,
                 model: Arc::new(TailToy { work, tail: 1.0 }),
@@ -1420,10 +1413,6 @@ mod tests {
         let s = plane.stats();
         assert_eq!(s.speculative_admissions, 1);
         assert_eq!(s.clone_tokens_reserved, 2);
-        plane.record_speculation(7, 3);
-        let s = plane.stats();
-        assert_eq!(s.clone_tasks_launched, 7);
-        assert_eq!(s.clone_wins, 3);
         drop(h);
         assert_eq!(plane.reserved(), 0, "total reservation freed on drop");
     }
@@ -1471,6 +1460,62 @@ mod tests {
             Ok(_) => panic!("expected capacity rejection"),
         }
         assert_eq!(plane.reserved(), 0);
+    }
+
+    #[test]
+    fn one_level_speculative_admission_is_try_add_job() {
+        // Each case admits "x" on a fresh 20-token plane that may
+        // already hold a 15-token "x" or "other": fits, fits exactly,
+        // no capacity, infeasible, duplicate, and duplicate with an
+        // infeasible deadline (the duplicate check comes first).
+        let deadline = SimDuration::from_mins(60);
+        let cases: [(Option<&str>, f64); 6] = [
+            (None, 36_000.0),
+            (None, 72_000.0),
+            (Some("other"), 36_000.0),
+            (None, 1e9),
+            (Some("x"), 3_600.0),
+            (Some("x"), 1e9),
+        ];
+        for (held, work) in cases {
+            let fresh = |held: Option<&str>| {
+                let plane = ControlPlane::new(20);
+                let holder = held.map(|name| {
+                    plane
+                        .try_add_job(
+                            name,
+                            Arc::new(Toy { work: 54_000.0 }),
+                            toy_indicator(),
+                            deadline,
+                            1.0,
+                        )
+                        .unwrap()
+                });
+                (plane, holder)
+            };
+            let (one_d, _h1) = fresh(held);
+            let plain =
+                one_d.try_add_job("x", Arc::new(Toy { work }), toy_indicator(), deadline, 1.0);
+            let (two_d, _h2) = fresh(held);
+            let level = [SpeculationLevel {
+                label: "off".into(),
+                clone_budget: 0,
+                model: Arc::new(Toy { work }),
+            }];
+            let spec = two_d.try_add_job_speculative("x", &level, toy_indicator(), deadline, 1.0);
+            let case = format!("held={held:?} work={work}");
+            match (&plain, &spec) {
+                (Ok(_), Ok((_, d))) => {
+                    assert_eq!(d.level, 0, "{case}");
+                    assert_eq!(d.total_tokens, d.allocation, "{case}");
+                    assert_eq!(two_d.reserved(), d.total_tokens, "{case}");
+                }
+                (Err(a), Err(b)) => assert_eq!(a, b, "{case}"),
+                _ => panic!("admissions disagree: {case}"),
+            }
+            assert_eq!(one_d.reserved(), two_d.reserved(), "{case}");
+            assert_eq!(one_d.stats(), two_d.stats(), "{case}");
+        }
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! evaluation pipeline.
 //!
 //! A handful of artifacts feed many experiments — the §5.2 policy
-//! [`sweep`](crate::figures::sweep) backs Figs. 4 and 5, the Fig. 6
+//! [`sweep`] backs Figs. 4 and 5, the Fig. 6
 //! scenario traces back four tables, and every experiment leans on the
 //! trained `C(p, a)` models inside the [`Env`]. The store memoizes each
 //! of them once per process, so a pipeline run never recomputes a

@@ -8,7 +8,7 @@
 //! clone policies — `off`, or clone-on-slow at a 1.5×/2.0×/3.0×
 //! slowdown threshold — crossed with three straggler intensities. The
 //! arms are budget-matched: the `off` arm holds all
-//! [`TOTAL_TOKENS`] as guarantee headroom (useless beyond the stage
+//! `TOTAL_TOKENS` as guarantee headroom (useless beyond the stage
 //! width), the speculative arms hold `TOTAL_TOKENS − CLONE_BUDGET`
 //! guaranteed plus the clone budget, so any attainment gain is bought
 //! by *reapportioning* tokens, not adding them. At a given seed the

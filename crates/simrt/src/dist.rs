@@ -720,7 +720,7 @@ pub fn bernoulli(rng: &mut dyn rand::RngCore, p: f64) -> bool {
 }
 
 /// Draws an exponential waiting time with the given mean (seconds) as a
-/// [`SimDuration`].
+/// [`SimDuration`](crate::time::SimDuration).
 ///
 /// This is the single shared inter-event draw used by the cluster
 /// simulator's background-overload and failure processes; it consumes

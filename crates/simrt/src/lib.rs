@@ -8,7 +8,7 @@
 //!   [`SimDuration`]) that makes event ordering exact and reproducible.
 //! - [`event`]: a deterministic future-event list ([`EventQueue`]) with
 //!   FIFO tie-breaking at equal timestamps.
-//! - [`observe`]: run diagnostics — the [`SimObserver`] hook simulators
+//! - [`observe`](mod@observe): run diagnostics — the [`SimObserver`] hook simulators
 //!   report event dispatches, clock advances and RNG forks through, and
 //!   the ring-buffer [`observe::RingJournal`] that retains the last `N`
 //!   records for post-mortem inspection.

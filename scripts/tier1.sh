@@ -10,6 +10,9 @@ cargo test --workspace -q
 cargo test --offline --manifest-path slobench/Cargo.toml -q
 cargo clippy --workspace --all-targets -- -D warnings
 cargo fmt --all --check
+# Rustdoc must build warning-free, so a deleted or private item cannot
+# leave a dangling intra-doc link behind.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 # Benches must keep compiling (full runs stay manual; see
 # BENCH_control_plane.json for the recorded numbers).
 cargo bench --workspace --no-run
