@@ -1,28 +1,26 @@
-//! Simulation-kernel microbenchmarks: the three hot paths PR 4
-//! optimized, each measured against the code path it replaced.
+//! Simulation-kernel microbenchmarks for the seams slobench cannot time
+//! on their own. slobench (`slobench/`, recorded in
+//! `slobench/RECORDED.md`) times whole runs and the engine, controller
+//! and plane seams inside them; these three groups isolate what sits
+//! below those spans:
 //!
-//! All three "before" variants still exist in the tree — the
-//! `BinaryHeap` queue backend is kept as the reference implementation,
-//! `Arc<dyn Sample>` remains the extensibility seam behind
-//! [`Dist::custom`], and `remaining_percentile` is the raw-cell scan
-//! that `remaining`'s dense table is built from — so one binary
-//! measures both sides of each pair on identical inputs:
-//!
-//! - `queue/{heap,bucketed,adaptive}`: a hold-model workload (pop one
-//!   event, schedule a successor at a near-monotone future time) over
-//!   a few thousand pending events, the access pattern the cluster
-//!   engine produces. The `adaptive` row is the occupancy-triggered
-//!   hybrid the simulator always runs on; `engine_dense/adaptive` and
-//!   `engine_sparse/adaptive` time it at engine level in the two
-//!   regimes it has to cover (the three backends' engine-level streams
-//!   are identical, see `simrt/tests/queue_equiv.rs`).
+//! - `queue/{sparse,dense}`: the hold model (pop one event, schedule a
+//!   successor at a near-monotone future time, the engine's
+//!   task-completion pattern) on [`EventQueue`] at a steady depth of 64
+//!   and of 4,096 pending events — one regime on each side of
+//!   [`EventQueue::ADAPTIVE_PROMOTE_LEN`], so `sparse` stays on the
+//!   binary heap and `dense` runs on the bucket ladder.
 //! - `sample/{dyn,enum}`: per-task-attempt draws from a realistic
-//!   distribution mix through the `dyn Sample` vtable vs. the
-//!   monomorphized [`Dist::sample_with`] match.
+//!   distribution mix through the `dyn Sample` vtable (the extensibility
+//!   seam behind [`Dist::custom`]) vs. the monomorphized
+//!   [`Dist::sample_with`] match.
 //! - `remaining/{scan,table}`: per-control-tick `C(p, a)` queries via
-//!   the percentile scan vs. the precomputed dense table.
+//!   the raw-cell percentile scan vs. the precomputed dense table that
+//!   `remaining` serves from. slobench counts these queries but does not
+//!   time them.
 //!
-//! Results are recorded in `BENCH_simrt.json` at the repo root.
+//! `JOCKEY_BENCH_SMOKE=1` cuts the sample counts so CI can run every
+//! group end to end in seconds.
 
 // Criterion macros expand to undocumented items.
 #![allow(missing_docs)]
@@ -30,29 +28,24 @@
 use std::sync::Arc;
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use jockey_cluster::{ClusterConfig, ClusterSim, FixedAllocation, JobSpec};
 use jockey_core::cpa::{CpaModel, TrainConfig};
 use jockey_core::progress::{IndicatorContext, ProgressIndicator};
 use jockey_simrt::dist::{Dist, LogNormal, Mixture, Sample};
-use jockey_simrt::event::{EventQueue, QueueBackend};
+use jockey_simrt::event::EventQueue;
 use jockey_simrt::time::{SimDuration, SimTime};
 use jockey_workloads::jobs::paper_job;
 use jockey_workloads::recurring::training_profile;
 
-/// Pending events held in the queue during the hold-model loop.
-const QUEUE_DEPTH: usize = 4_096;
-
 /// Hold-model rounds per iteration (each = one pop + one schedule).
 const QUEUE_ROUNDS: usize = 8_192;
 
-/// Runs the hold model on one backend: `QUEUE_DEPTH` events are
+/// Runs the hold model at a steady `depth`: `depth` events are
 /// pre-scheduled, then each round pops the earliest event and schedules
-/// a successor a pseudo-random near-future delta ahead — the engine's
-/// task-completion pattern.
-fn queue_hold_model(backend: QueueBackend) -> u64 {
-    let mut queue = EventQueue::with_backend(backend);
+/// a successor a pseudo-random near-future delta ahead.
+fn queue_hold_model(depth: usize) -> u64 {
+    let mut queue = EventQueue::new();
     // A cheap deterministic delta stream (xorshift) keeps the workload
-    // identical across backends without RNG overhead in the loop.
+    // identical across runs without RNG overhead in the loop.
     let mut state = 0x9e37_79b9_7f4a_7c15_u64;
     let mut delta = |limit: u64| {
         state ^= state << 13;
@@ -60,7 +53,7 @@ fn queue_hold_model(backend: QueueBackend) -> u64 {
         state ^= state << 17;
         state % limit
     };
-    for i in 0..QUEUE_DEPTH as u64 {
+    for i in 0..depth as u64 {
         queue.schedule(SimTime::ZERO + SimDuration::from_millis(delta(60_000)), i);
     }
     let mut acc = 0_u64;
@@ -76,62 +69,11 @@ fn bench_queue(c: &mut Criterion) {
     let smoke = std::env::var_os("JOCKEY_BENCH_SMOKE").is_some();
     let mut g = c.benchmark_group("queue");
     g.sample_size(if smoke { 3 } else { 20 });
-    g.bench_function("heap", |b| {
-        b.iter(|| queue_hold_model(QueueBackend::BinaryHeap));
+    g.bench_function("sparse", |b| {
+        b.iter(|| queue_hold_model(64));
     });
-    g.bench_function("bucketed", |b| {
-        b.iter(|| queue_hold_model(QueueBackend::Bucketed));
-    });
-    g.bench_function("adaptive", |b| {
-        b.iter(|| queue_hold_model(QueueBackend::Adaptive));
-    });
-    g.finish();
-}
-
-/// A dense production-shaped run — the widest paper job (G, 8 496
-/// tasks) held at an 800-token guarantee, so several hundred
-/// task-completion events are pending at once and the adaptive queue
-/// promotes itself to the bucket ladder.
-fn dense_sim(spec: &JobSpec) -> ClusterSim {
-    let mut cfg = ClusterConfig::production();
-    cfg.max_guarantee = 800;
-    let mut sim = ClusterSim::new(cfg, 17);
-    sim.add_job(spec.clone(), Box::new(FixedAllocation(800)));
-    sim
-}
-
-fn bench_engine_dense(c: &mut Criterion) {
-    let smoke = std::env::var_os("JOCKEY_BENCH_SMOKE").is_some();
-    let job = paper_job(6, 1);
-    let mut g = c.benchmark_group("engine_dense");
-    g.sample_size(if smoke { 2 } else { 15 });
-    g.bench_function("adaptive", |b| {
-        b.iter(|| dense_sim(&job.spec).run());
-    });
-    g.finish();
-}
-
-/// A sparse production-shaped run — the same 60-token, ~20-pending-
-/// event regime as `engine/events_per_sec`, where the always-on
-/// bucket ladder used to *lose* to the binary heap; the adaptive queue
-/// stays on the heap here because its occupancy never crosses the
-/// promotion threshold.
-fn sparse_sim(spec: &JobSpec) -> ClusterSim {
-    let mut cfg = ClusterConfig::production();
-    cfg.total_tokens = 60;
-    cfg.max_guarantee = 40;
-    let mut sim = ClusterSim::new(cfg, 17);
-    sim.add_job(spec.clone(), Box::new(FixedAllocation(24)));
-    sim
-}
-
-fn bench_engine_sparse(c: &mut Criterion) {
-    let smoke = std::env::var_os("JOCKEY_BENCH_SMOKE").is_some();
-    let job = paper_job(0, 1);
-    let mut g = c.benchmark_group("engine_sparse");
-    g.sample_size(if smoke { 3 } else { 20 });
-    g.bench_function("adaptive", |b| {
-        b.iter(|| sparse_sim(&job.spec).run());
+    g.bench_function("dense", |b| {
+        b.iter(|| queue_hold_model(4_096));
     });
     g.finish();
 }
@@ -157,9 +99,8 @@ const SAMPLE_DRAWS: usize = 4_096;
 fn bench_sampling(c: &mut Criterion) {
     let smoke = std::env::var_os("JOCKEY_BENCH_SMOKE").is_some();
     let dists = engine_dists();
-    // The pre-PR shape of `JobSpec::stage_runtimes`: one vtable per
-    // distribution. `Mixture`/`Clamped` combinators are reproduced via
-    // `Dist` boxed the same way the old generics were.
+    // The same mix behind one vtable per distribution, the shape a
+    // `Dist::custom` sampler takes.
     let dyns: Vec<Arc<dyn Sample>> = vec![
         Arc::new(jockey_simrt::dist::Clamped::new(
             LogNormal::from_median_p90(20.0, 90.0),
@@ -205,7 +146,7 @@ const QUERY_COUNT: usize = 4_096;
 
 fn bench_remaining(c: &mut Criterion) {
     let smoke = std::env::var_os("JOCKEY_BENCH_SMOKE").is_some();
-    // A real trained model, same setup as engine/train_one_model.
+    // A real trained model of the smallest paper job.
     let job = paper_job(0, 1);
     let profile = training_profile(&job.spec, 40, if smoke { 2 } else { 5 });
     let ctx = IndicatorContext::new(
@@ -258,12 +199,5 @@ fn bench_remaining(c: &mut Criterion) {
     black_box(queries);
 }
 
-criterion_group!(
-    benches,
-    bench_queue,
-    bench_engine_dense,
-    bench_engine_sparse,
-    bench_sampling,
-    bench_remaining
-);
+criterion_group!(benches, bench_queue, bench_sampling, bench_remaining);
 criterion_main!(benches);

@@ -336,12 +336,8 @@ impl ControlPlane {
     /// The errors of [`ControlPlane::try_add_job`], checked in the same
     /// order: [`AdmissionError::DuplicateName`] first, then
     /// [`AdmissionError::Infeasible`] when no level has a
-    /// deadline-meeting allocation, then capacity — judged against the
-    /// chosen level's *total* cost.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `levels` is empty.
+    /// deadline-meeting allocation (always so for an empty `levels`),
+    /// then capacity — judged against the chosen level's *total* cost.
     pub fn try_add_job_speculative(
         self: &Arc<Self>,
         name: &str,
@@ -350,7 +346,6 @@ impl ControlPlane {
         deadline: SimDuration,
         slack: f64,
     ) -> Result<(JobHandle, SpeculativeDecision), AdmissionError> {
-        assert!(!levels.is_empty(), "need at least one speculation level");
         self.admit_cheapest_level(name, levels, indicator, deadline, slack)
     }
 
@@ -359,7 +354,9 @@ impl ControlPlane {
     /// it rejects a live duplicate name, sizes each level's minimum
     /// deadline-meeting allocation from fresh predictions, picks the
     /// smallest total `a + clone_budget` (ties keep the earlier level)
-    /// and reserves that total.
+    /// and reserves that total. A level whose total does not fit in a
+    /// `u32` can never be reserved: it loses to every other level, and
+    /// if it is the only sized one the call fails on capacity.
     fn admit_cheapest_level(
         self: &Arc<Self>,
         name: &str,
@@ -376,11 +373,15 @@ impl ControlPlane {
                 return Err(AdmissionError::DuplicateName);
             }
             let mut best: Option<SpeculativeDecision> = None;
+            let mut overflowed = false;
             for (s, level) in levels.iter().enumerate() {
                 let Some(a) = level.model.size_for_deadline(&fresh, deadline, slack) else {
                     continue;
                 };
-                let total = a + level.clone_budget;
+                let Some(total) = a.checked_add(level.clone_budget) else {
+                    overflowed = true;
+                    continue;
+                };
                 if best.is_none_or(|d| total < d.total_tokens) {
                     best = Some(SpeculativeDecision {
                         allocation: a,
@@ -389,7 +390,16 @@ impl ControlPlane {
                     });
                 }
             }
-            let decision = best.ok_or(AdmissionError::Infeasible)?;
+            let decision = match best {
+                Some(decision) => decision,
+                None if overflowed => {
+                    return Err(AdmissionError::InsufficientCapacity {
+                        required: u32::MAX,
+                        available: ledger.available(),
+                    })
+                }
+                None => return Err(AdmissionError::Infeasible),
+            };
             ledger.try_reserve(name, decision.total_tokens)?;
             decision
         };
@@ -1460,6 +1470,90 @@ mod tests {
             Ok(_) => panic!("expected capacity rejection"),
         }
         assert_eq!(plane.reserved(), 0);
+    }
+
+    /// Sizes every deadline at `u32::MAX` tokens.
+    struct Huge;
+
+    impl CompletionModel for Huge {
+        fn remaining_secs(&self, _fs: &[f64], _progress: f64, _allocation: u32) -> f64 {
+            1.0
+        }
+        fn max_allocation(&self) -> u32 {
+            u32::MAX
+        }
+        fn size_for_deadline(&self, _fs: &[f64], _d: SimDuration, _slack: f64) -> Option<u32> {
+            Some(u32::MAX)
+        }
+    }
+
+    #[test]
+    fn overflowing_total_is_rejected_without_reserving() {
+        let plane = ControlPlane::new(20);
+        let huge = SpeculationLevel {
+            label: "clone@2.0x".into(),
+            clone_budget: 2,
+            model: Arc::new(Huge),
+        };
+        let deadline = SimDuration::from_mins(60);
+        let alone = plane.try_add_job_speculative(
+            "x",
+            std::slice::from_ref(&huge),
+            toy_indicator(),
+            deadline,
+            1.0,
+        );
+        assert_eq!(
+            alone.err(),
+            Some(AdmissionError::InsufficientCapacity {
+                required: u32::MAX,
+                available: 20
+            })
+        );
+        assert_eq!(plane.reserved(), 0);
+        // Next to a level that fits, the overflowing one loses.
+        let plain = SpeculationLevel {
+            label: "off".into(),
+            clone_budget: 0,
+            model: Arc::new(Toy { work: 36_000.0 }),
+        };
+        let (_h, d) = plane
+            .try_add_job_speculative("x", &[huge, plain], toy_indicator(), deadline, 1.0)
+            .expect("the plain level fits");
+        assert_eq!((d.level, d.total_tokens), (1, 10));
+        assert_eq!(plane.reserved(), 10);
+    }
+
+    #[test]
+    fn empty_levels_are_infeasible() {
+        let plane = ControlPlane::new(20);
+        let result = plane.try_add_job_speculative(
+            "x",
+            &[],
+            toy_indicator(),
+            SimDuration::from_mins(60),
+            1.0,
+        );
+        assert_eq!(result.err(), Some(AdmissionError::Infeasible));
+        assert_eq!(plane.reserved(), 0);
+    }
+
+    #[test]
+    fn empty_levels_still_reject_a_live_duplicate() {
+        let plane = ControlPlane::new(20);
+        let deadline = SimDuration::from_mins(60);
+        let _held = plane
+            .try_add_job(
+                "x",
+                Arc::new(Toy { work: 36_000.0 }),
+                toy_indicator(),
+                deadline,
+                1.0,
+            )
+            .unwrap();
+        let result = plane.try_add_job_speculative("x", &[], toy_indicator(), deadline, 1.0);
+        assert_eq!(result.err(), Some(AdmissionError::DuplicateName));
+        assert_eq!(plane.reserved(), 10);
     }
 
     #[test]

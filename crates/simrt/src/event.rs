@@ -6,43 +6,36 @@
 //! in this workspace deterministic — `std::collections::BinaryHeap` alone
 //! does not guarantee any order among equal keys.
 //!
-//! Three backends implement the same contract (see [`QueueBackend`]):
+//! Events are ordered by `(time, sequence)`, the sequence number
+//! assigned at schedule time. The queue holds them in one of two
+//! representations and switches between them by occupancy:
 //!
-//! - **Adaptive** (the default): starts on the binary heap (cheapest at
-//!   low occupancy) and promotes itself to the bucket ladder the first
-//!   time the pending-event count crosses
-//!   [`ADAPTIVE_PROMOTE_LEN`](EventQueue::ADAPTIVE_PROMOTE_LEN), so
-//!   neither the sparse nor the dense regime pays for the other's data
-//!   structure. Promotion is invisible: both representations emit the
-//!   identical `(time, seq)` stream.
-//! - **Bucketed**: a calendar/ladder structure exploiting the
-//!   near-monotone event times of a discrete-event simulation.
-//!   Events within a sliding window land in fixed-width time buckets
-//!   (O(1) schedule); buckets are sorted lazily when the pop cursor
-//!   reaches them, so the per-event cost is O(1) amortized for the
-//!   dispatch-heavy simulator hot path. Events beyond the window wait
-//!   in an overflow heap and migrate into buckets when the window
-//!   advances.
-//! - **BinaryHeap**: the straightforward `(time, seq)` min-heap. Kept
-//!   as the reference implementation; the property tests in
-//!   `tests/queue_equiv.rs` prove the bucketed backend produces the
-//!   exact same `(time, payload)` stream.
+//! - a `(time, seq)` binary min-heap while few events are pending, the
+//!   cheapest structure at low occupancy;
+//! - a calendar/ladder structure once the pending count first crosses
+//!   [`ADAPTIVE_PROMOTE_LEN`](EventQueue::ADAPTIVE_PROMOTE_LEN). It
+//!   exploits the near-monotone event times of a discrete-event
+//!   simulation: events within a sliding window land in fixed-width time
+//!   buckets (O(1) schedule), and buckets are sorted lazily when the pop
+//!   cursor reaches them, so the per-event cost is O(1) amortized on the
+//!   dispatch-heavy hot path. Events beyond the window wait in an
+//!   overflow heap and migrate into buckets when the window advances.
 //!
-//! All backends order events by `(time, sequence)` where the sequence
-//! number is assigned at schedule time, so switching backends never
-//! changes a simulation's event stream.
-//!
-//! The cluster simulator always runs on the adaptive default
-//! ([`EventQueue::new`]); [`EventQueue::with_backend`] exists for the
-//! equivalence tests and the queue benches.
+//! Promotion is invisible: both representations emit the identical
+//! `(time, seq)` stream, so neither the sparse nor the dense simulator
+//! regime pays for the other's data structure and no run's event stream
+//! depends on which one it landed in. `tests/queue_equiv.rs` checks the
+//! queue against a plain `(time, seq)` heap on random programs that
+//! cross the promotion threshold; the ladder's own edge cases (overflow
+//! path, window jumps, lazy bucket sort) are unit-tested below.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
 use crate::time::SimTime;
 
-/// Number of buckets in the bucketed backend's sliding window (a power
-/// of two so slot indexing is a mask).
+/// Number of buckets in the ladder's sliding window (a power of two so
+/// slot indexing is a mask).
 const NUM_BUCKETS: usize = 256;
 
 /// log2 of the bucket width in milliseconds. 1024 ms buckets with 256
@@ -87,27 +80,7 @@ impl<E> Ord for Scheduled<E> {
     }
 }
 
-/// Which data structure an [`EventQueue`] runs on.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum QueueBackend {
-    /// Occupancy-triggered hybrid: runs on the binary heap while few
-    /// events are pending and promotes itself (once per run; `reset`
-    /// demotes) to the bucket ladder when the pending count crosses
-    /// [`EventQueue::ADAPTIVE_PROMOTE_LEN`]. The default: neither the
-    /// sparse nor the dense regime pays the other backend's tax, and
-    /// no manual flag is needed. The explicit backends below remain
-    /// for tests and benches.
-    #[default]
-    Adaptive,
-    /// Calendar-style bucket ladder: O(1) amortized schedule/pop on the
-    /// near-monotone event times of a simulation run.
-    Bucketed,
-    /// `(time, seq)` binary min-heap: O(log n) per operation. The
-    /// reference implementation the bucketed backend is proved against.
-    BinaryHeap,
-}
-
-/// One time bucket of the bucketed backend. Entries are appended
+/// One time bucket of the ladder. Entries are appended
 /// unsorted; the bucket is sorted *descending* by `(time, seq)` the
 /// first time the pop cursor drains it, so the minimum pops from the
 /// back in O(1).
@@ -147,7 +120,7 @@ impl<E> Bucket<E> {
     }
 }
 
-/// The calendar/ladder structure behind [`QueueBackend::Bucketed`].
+/// The calendar/ladder representation of a promoted [`EventQueue`].
 ///
 /// Invariants:
 /// - every bucketed event has `cursor_ms <= at < window_end_ms`;
@@ -329,20 +302,6 @@ impl<E> BucketLadder<E> {
     }
 }
 
-enum Backend<E> {
-    Bucketed(BucketLadder<E>),
-    Heap(BinaryHeap<Scheduled<E>>),
-    /// The adaptive hybrid. Events live in exactly one of the two
-    /// structures: the heap until promotion, the ladder after. Both
-    /// allocations persist across `reset` so pooled queues keep their
-    /// storage whichever regime the next run lands in.
-    Adaptive {
-        heap: BinaryHeap<Scheduled<E>>,
-        ladder: BucketLadder<E>,
-        promoted: bool,
-    },
-}
-
 /// A future-event list with deterministic FIFO ordering of simultaneous
 /// events.
 ///
@@ -360,7 +319,15 @@ enum Backend<E> {
 /// assert_eq!(order, vec!["a", "b", "c"]);
 /// ```
 pub struct EventQueue<E> {
-    backend: Backend<E>,
+    /// Pending events until promotion; empty afterwards.
+    heap: BinaryHeap<Scheduled<E>>,
+    /// Pending events after promotion; empty before. Both allocations
+    /// persist across `reset`, so a pooled queue keeps its storage
+    /// whichever regime the next run lands in.
+    ladder: BucketLadder<E>,
+    /// True once the pending count has crossed
+    /// [`Self::ADAPTIVE_PROMOTE_LEN`] in this run.
+    promoted: bool,
     next_seq: u64,
     /// Time of the most recently popped event, used to reject scheduling
     /// into the past.
@@ -374,43 +341,31 @@ impl<E> Default for EventQueue<E> {
 }
 
 impl<E> EventQueue<E> {
-    /// Pending-event count at which an [`QueueBackend::Adaptive`] queue
-    /// promotes from the binary heap to the bucket ladder. Chosen above
-    /// the sparse engine regime (~60–70 in-flight completions at 60
-    /// tokens, where the heap measures ~10% faster) and well below the
-    /// dense regime (hundreds of in-flight tasks, where the ladder wins
-    /// ~2x on the hold model). Promotion is one-way per run: occupancy
-    /// hovering around the threshold must not thrash representations,
-    /// so only `reset` demotes.
+    /// Pending-event count at which the queue promotes from the binary
+    /// heap to the bucket ladder. Chosen above the sparse engine regime
+    /// (~60–70 in-flight completions at 60 tokens, where the heap
+    /// measures ~10% faster) and well below the dense regime (hundreds
+    /// of in-flight tasks, where the ladder wins ~2x on the hold model).
+    /// Promotion is one-way per run: occupancy hovering around the
+    /// threshold must not thrash representations, so only `reset`
+    /// demotes.
     pub const ADAPTIVE_PROMOTE_LEN: usize = 128;
 
-    /// Creates an empty queue positioned at [`SimTime::ZERO`], using the
-    /// default (adaptive) backend.
+    /// Creates an empty queue positioned at [`SimTime::ZERO`].
     pub fn new() -> Self {
-        Self::with_backend(QueueBackend::default())
-    }
-
-    /// Creates an empty queue on an explicit backend.
-    pub fn with_backend(backend: QueueBackend) -> Self {
         EventQueue {
-            backend: match backend {
-                QueueBackend::Adaptive => Backend::Adaptive {
-                    heap: BinaryHeap::new(),
-                    ladder: BucketLadder::new(),
-                    promoted: false,
-                },
-                QueueBackend::Bucketed => Backend::Bucketed(BucketLadder::new()),
-                QueueBackend::BinaryHeap => Backend::Heap(BinaryHeap::new()),
-            },
+            heap: BinaryHeap::new(),
+            ladder: BucketLadder::new(),
+            promoted: false,
             next_seq: 0,
             now: SimTime::ZERO,
         }
     }
 
-    /// True if an adaptive queue has promoted to the ladder (test/bench
-    /// introspection; always false for the explicit backends).
+    /// True once the queue has promoted to the bucket ladder in this run
+    /// (test introspection).
     pub fn is_promoted(&self) -> bool {
-        matches!(self.backend, Backend::Adaptive { promoted: true, .. })
+        self.promoted
     }
 
     /// Schedules `event` to fire at `at`.
@@ -429,57 +384,37 @@ impl<E> EventQueue<E> {
         let seq = self.next_seq;
         self.next_seq += 1;
         let s = Scheduled { at, seq, event };
-        match &mut self.backend {
-            Backend::Bucketed(l) => l.push(s),
-            Backend::Heap(h) => h.push(s),
-            Backend::Adaptive {
-                heap,
-                ladder,
-                promoted,
-            } => {
-                if *promoted {
-                    ladder.push(s);
-                } else {
-                    heap.push(s);
-                    if heap.len() >= Self::ADAPTIVE_PROMOTE_LEN {
-                        // Promote: position the ladder window at the
-                        // current quantized time and migrate the heap.
-                        // Drain order is irrelevant — the ladder
-                        // re-establishes (time, seq) order on pop — so
-                        // the emitted stream is unchanged (the
-                        // `adaptive_matches_reference` test pins this).
-                        debug_assert_eq!(ladder.len(), 0);
-                        ladder.cursor_ms = self.now.as_millis() >> BUCKET_SHIFT << BUCKET_SHIFT;
-                        ladder.window_end_ms = ladder
-                            .cursor_ms
-                            .saturating_add(NUM_BUCKETS as u64 * BUCKET_WIDTH_MS);
-                        for ev in heap.drain() {
-                            ladder.push(ev);
-                        }
-                        *promoted = true;
-                    }
-                }
+        if self.promoted {
+            self.ladder.push(s);
+            return;
+        }
+        self.heap.push(s);
+        if self.heap.len() >= Self::ADAPTIVE_PROMOTE_LEN {
+            // Promote: position the ladder window at the current
+            // quantized time and migrate the heap. Drain order is
+            // irrelevant — the ladder re-establishes (time, seq) order on
+            // pop — so the emitted stream is unchanged (the
+            // `promotion_preserves_the_stream` test pins this).
+            let ladder = &mut self.ladder;
+            debug_assert_eq!(ladder.len(), 0);
+            ladder.cursor_ms = self.now.as_millis() >> BUCKET_SHIFT << BUCKET_SHIFT;
+            ladder.window_end_ms = ladder
+                .cursor_ms
+                .saturating_add(NUM_BUCKETS as u64 * BUCKET_WIDTH_MS);
+            for ev in self.heap.drain() {
+                ladder.push(ev);
             }
+            self.promoted = true;
         }
     }
 
     /// Removes and returns the next event and its firing time, advancing
     /// the queue's notion of "now". Returns `None` when empty.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        let s = match &mut self.backend {
-            Backend::Bucketed(l) => l.pop()?,
-            Backend::Heap(h) => h.pop()?,
-            Backend::Adaptive {
-                heap,
-                ladder,
-                promoted,
-            } => {
-                if *promoted {
-                    ladder.pop()?
-                } else {
-                    heap.pop()?
-                }
-            }
+        let s = if self.promoted {
+            self.ladder.pop()?
+        } else {
+            self.heap.pop()?
         };
         debug_assert!(s.at >= self.now);
         self.now = s.at;
@@ -498,20 +433,10 @@ impl<E> EventQueue<E> {
 
     /// The firing time of the next event without removing it.
     pub fn peek_time(&self) -> Option<SimTime> {
-        match &self.backend {
-            Backend::Bucketed(l) => l.peek_time(),
-            Backend::Heap(h) => h.peek().map(|s| s.at),
-            Backend::Adaptive {
-                heap,
-                ladder,
-                promoted,
-            } => {
-                if *promoted {
-                    ladder.peek_time()
-                } else {
-                    heap.peek().map(|s| s.at)
-                }
-            }
+        if self.promoted {
+            self.ladder.peek_time()
+        } else {
+            self.heap.peek().map(|s| s.at)
         }
     }
 
@@ -522,21 +447,7 @@ impl<E> EventQueue<E> {
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        match &self.backend {
-            Backend::Bucketed(l) => l.len(),
-            Backend::Heap(h) => h.len(),
-            Backend::Adaptive {
-                heap,
-                ladder,
-                promoted,
-            } => {
-                if *promoted {
-                    ladder.len()
-                } else {
-                    heap.len()
-                }
-            }
-        }
+        self.heap.len() + self.ladder.len()
     }
 
     /// True if no events are pending.
@@ -546,40 +457,20 @@ impl<E> EventQueue<E> {
 
     /// Drops all pending events without changing "now".
     pub fn clear(&mut self) {
-        match &mut self.backend {
-            Backend::Bucketed(l) => l.clear(),
-            Backend::Heap(h) => h.clear(),
-            Backend::Adaptive { heap, ladder, .. } => {
-                heap.clear();
-                ladder.clear();
-            }
-        }
+        self.heap.clear();
+        self.ladder.clear();
     }
 
     /// Empties the queue and rewinds it to a fresh state ("now" back to
     /// [`SimTime::ZERO`], sequence counter reset) while keeping the
-    /// backend's allocated storage — lets repeated-simulation loops pool
-    /// a queue across runs (see `jockey-cluster`'s `SimWorkspace`). An
-    /// adaptive queue demotes back to the heap so the next run re-probes
-    /// its own regime.
+    /// allocated storage — lets repeated-simulation loops pool a queue
+    /// across runs (see `jockey-cluster`'s `SimWorkspace`). The queue
+    /// demotes back to the heap so the next run re-probes its own regime.
     pub fn reset(&mut self) {
         self.clear();
         self.next_seq = 0;
         self.now = SimTime::ZERO;
-        match &mut self.backend {
-            Backend::Bucketed(l) => {
-                l.cursor_ms = 0;
-                l.window_end_ms = NUM_BUCKETS as u64 * BUCKET_WIDTH_MS;
-            }
-            Backend::Heap(_) => {}
-            Backend::Adaptive {
-                ladder, promoted, ..
-            } => {
-                ladder.cursor_ms = 0;
-                ladder.window_end_ms = NUM_BUCKETS as u64 * BUCKET_WIDTH_MS;
-                *promoted = false;
-            }
-        }
+        self.promoted = false;
     }
 }
 
@@ -588,45 +479,37 @@ mod tests {
     use super::*;
     use crate::time::SimDuration;
 
-    fn both() -> [EventQueue<i32>; 3] {
-        [
-            EventQueue::with_backend(QueueBackend::Bucketed),
-            EventQueue::with_backend(QueueBackend::BinaryHeap),
-            EventQueue::with_backend(QueueBackend::Adaptive),
-        ]
-    }
-
     #[test]
     fn pops_in_time_order() {
-        for mut q in both() {
-            q.schedule(SimTime::from_secs(5), 5);
-            q.schedule(SimTime::from_secs(1), 1);
-            q.schedule(SimTime::from_secs(3), 3);
-            let order: Vec<i32> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
-            assert_eq!(order, vec![1, 3, 5]);
-        }
+        let mut q = EventQueue::new();
+        q.schedule(SimTime::from_secs(5), 5);
+        q.schedule(SimTime::from_secs(1), 1);
+        q.schedule(SimTime::from_secs(3), 3);
+        let order: Vec<i32> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
+        assert_eq!(order, vec![1, 3, 5]);
     }
 
     #[test]
     fn simultaneous_events_pop_fifo() {
-        for mut q in both() {
-            let t = SimTime::from_secs(7);
-            for i in 0..100 {
-                q.schedule(t, i);
-            }
-            let order: Vec<i32> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
-            assert_eq!(order, (0..100).collect::<Vec<_>>());
+        // 300 ties cross the promotion threshold, so both
+        // representations see them.
+        let mut q = EventQueue::new();
+        let t = SimTime::from_secs(7);
+        for i in 0..300 {
+            q.schedule(t, i);
         }
+        assert!(q.is_promoted());
+        let order: Vec<i32> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
+        assert_eq!(order, (0..300).collect::<Vec<_>>());
     }
 
     #[test]
     fn now_tracks_last_pop() {
-        for mut q in both() {
-            q.schedule(SimTime::from_secs(2), 0);
-            assert_eq!(q.now(), SimTime::ZERO);
-            q.pop();
-            assert_eq!(q.now(), SimTime::from_secs(2));
-        }
+        let mut q = EventQueue::new();
+        q.schedule(SimTime::from_secs(2), 0);
+        assert_eq!(q.now(), SimTime::ZERO);
+        q.pop();
+        assert_eq!(q.now(), SimTime::from_secs(2));
     }
 
     #[test]
@@ -639,166 +522,27 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "before current time")]
-    fn heap_backend_rejects_past_too() {
-        let mut q = EventQueue::with_backend(QueueBackend::BinaryHeap);
-        q.schedule(SimTime::from_secs(10), ());
-        q.pop();
-        q.schedule(SimTime::from_secs(9), ());
-    }
-
-    #[test]
     fn scheduling_at_now_is_allowed() {
-        for mut q in both() {
-            q.schedule(SimTime::from_secs(4), 0);
-            q.pop();
-            q.schedule(q.now(), 1);
-            assert_eq!(q.pop(), Some((SimTime::from_secs(4), 1)));
-        }
+        let mut q = EventQueue::new();
+        q.schedule(SimTime::from_secs(4), 0);
+        q.pop();
+        q.schedule(q.now(), 1);
+        assert_eq!(q.pop(), Some((SimTime::from_secs(4), 1)));
     }
 
     #[test]
     fn peek_and_len() {
-        for mut q in both() {
-            assert!(q.is_empty());
-            assert_eq!(q.peek_time(), None);
-            q.schedule(SimTime::from_secs(1) + SimDuration::from_millis(5), 0);
-            assert_eq!(q.len(), 1);
-            assert_eq!(q.peek_time(), Some(SimTime::from_millis(1_005)));
-        }
+        let mut q = EventQueue::new();
+        assert!(q.is_empty());
+        assert_eq!(q.peek_time(), None);
+        q.schedule(SimTime::from_secs(1) + SimDuration::from_millis(5), 0);
+        assert_eq!(q.len(), 1);
+        assert_eq!(q.peek_time(), Some(SimTime::from_millis(1_005)));
     }
 
     #[test]
-    fn peek_does_not_disturb_order() {
-        // A peek past empty buckets must not advance the cursor: events
-        // scheduled afterwards at earlier times still pop first.
-        let mut q = EventQueue::with_backend(QueueBackend::Bucketed);
-        q.schedule(SimTime::from_secs(50), 50);
-        assert_eq!(q.peek_time(), Some(SimTime::from_secs(50)));
-        q.schedule(SimTime::from_secs(2), 2);
-        assert_eq!(q.pop(), Some((SimTime::from_secs(2), 2)));
-        assert_eq!(q.pop(), Some((SimTime::from_secs(50), 50)));
-    }
-
-    #[test]
-    fn far_future_events_take_the_overflow_path() {
-        let mut q = EventQueue::with_backend(QueueBackend::Bucketed);
-        // Beyond the initial window (~262 s), into overflow.
-        q.schedule(SimTime::from_mins(60), 1);
-        q.schedule(SimTime::from_mins(90), 2);
-        q.schedule(SimTime::from_secs(1), 0);
-        assert_eq!(q.len(), 3);
-        let order: Vec<i32> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
-        assert_eq!(order, vec![0, 1, 2]);
-    }
-
-    #[test]
-    fn overflow_jump_then_near_schedule_stays_ordered() {
-        let mut q = EventQueue::with_backend(QueueBackend::Bucketed);
-        q.schedule(SimTime::from_mins(60), 1);
-        // Pop jumps the window out to t=60min.
-        assert_eq!(q.pop(), Some((SimTime::from_mins(60), 1)));
-        // New events near the jumped-to time interleave correctly with
-        // further far-future ones.
-        q.schedule(SimTime::from_mins(60) + SimDuration::from_millis(1), 2);
-        q.schedule(SimTime::from_mins(600), 4);
-        q.schedule(SimTime::from_mins(61), 3);
-        let order: Vec<i32> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
-        assert_eq!(order, vec![2, 3, 4]);
-    }
-
-    #[test]
-    fn interleaved_hold_model_matches_reference() {
-        // A deterministic hold-model run (pop one, schedule one ahead)
-        // must produce identical streams on both backends.
-        let mut bucketed = EventQueue::with_backend(QueueBackend::Bucketed);
-        let mut heap = EventQueue::with_backend(QueueBackend::BinaryHeap);
-        let mut x: u64 = 0x9E37_79B9;
-        for i in 0..64 {
-            let t = SimTime::from_millis((i * 37) % 1_000);
-            bucketed.schedule(t, i);
-            heap.schedule(t, i);
-        }
-        for i in 64..4_096 {
-            let (ta, a) = bucketed.pop().unwrap();
-            let (tb, b) = heap.pop().unwrap();
-            assert_eq!((ta, a), (tb, b));
-            // Pseudo-random hold time, occasionally zero (tie) or huge
-            // (overflow path).
-            x = x
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            let hold = match x % 7 {
-                0 => 0,
-                1 => x % 300_000, // up to 5 sim-minutes: beyond the window
-                _ => x % 20_000,
-            };
-            let t = ta + SimDuration::from_millis(hold);
-            bucketed.schedule(t, i);
-            heap.schedule(t, i);
-        }
-        while let Some(a) = bucketed.pop() {
-            assert_eq!(Some(a), heap.pop());
-        }
-        assert!(heap.pop().is_none());
-    }
-
-    #[test]
-    fn adaptive_matches_reference_across_promotion() {
-        // The same hold model as above, run with a depth that crosses
-        // the promotion threshold mid-stream: the adaptive queue must
-        // emit the identical (time, payload) stream as the heap
-        // reference before, during and after promotion.
-        let mut adaptive = EventQueue::with_backend(QueueBackend::Adaptive);
-        let mut heap = EventQueue::with_backend(QueueBackend::BinaryHeap);
-        let mut x: u64 = 0x1234_5678;
-        // Start below the threshold...
-        for i in 0..32i64 {
-            let t = SimTime::from_millis((i as u64 * 53) % 2_000);
-            adaptive.schedule(t, i);
-            heap.schedule(t, i);
-        }
-        assert!(!adaptive.is_promoted());
-        // ...then grow the pending set well past it while popping: each
-        // round pops one and schedules one, plus a second while i < 600
-        // so the depth ramps from 32 to ~600 (crossing the threshold)
-        // and then holds.
-        for i in 32..4_096i64 {
-            let a = adaptive.pop();
-            let b = heap.pop();
-            assert_eq!(a, b);
-            assert!(a.is_some());
-            let now = adaptive.now();
-            let mut hold = |tag: i64| {
-                x = x
-                    .wrapping_mul(6364136223846793005)
-                    .wrapping_add(1442695040888963407);
-                let h = match x % 7 {
-                    0 => 0,
-                    1 => x % 300_000,
-                    _ => x % 20_000,
-                };
-                (now + SimDuration::from_millis(h), tag)
-            };
-            let (t, e) = hold(i);
-            adaptive.schedule(t, e);
-            heap.schedule(t, e);
-            if i < 600 {
-                let (t, e) = hold(10_000 + i);
-                adaptive.schedule(t, e);
-                heap.schedule(t, e);
-            }
-        }
-        assert!(adaptive.is_promoted(), "depth 600 must trigger promotion");
-        while let Some(a) = adaptive.pop() {
-            assert_eq!(Some(a), heap.pop());
-        }
-        assert!(heap.pop().is_none());
-    }
-
-    #[test]
-    fn adaptive_promotes_at_threshold_and_reset_demotes() {
-        let mut q = EventQueue::with_backend(QueueBackend::Adaptive);
+    fn promotes_at_threshold_and_reset_demotes() {
+        let mut q = EventQueue::new();
         for i in 0..EventQueue::<usize>::ADAPTIVE_PROMOTE_LEN - 1 {
             q.schedule(SimTime::from_millis(i as u64), i);
         }
@@ -822,35 +566,166 @@ mod tests {
 
     #[test]
     fn pop_at_drains_only_the_given_instant() {
-        for mut q in both() {
-            let t = SimTime::from_secs(3);
-            q.schedule(t, 1);
-            q.schedule(t, 2);
-            q.schedule(SimTime::from_secs(4), 3);
-            assert_eq!(q.pop(), Some((t, 1)));
-            assert_eq!(q.pop_at(t), Some(2));
-            // Next event is later: pop_at must leave it alone.
-            assert_eq!(q.pop_at(t), None);
-            assert_eq!(q.len(), 1);
-            assert_eq!(q.pop(), Some((SimTime::from_secs(4), 3)));
-            assert_eq!(q.pop_at(SimTime::from_secs(9)), None);
-        }
+        let mut q = EventQueue::new();
+        let t = SimTime::from_secs(3);
+        q.schedule(t, 1);
+        q.schedule(t, 2);
+        q.schedule(SimTime::from_secs(4), 3);
+        assert_eq!(q.pop(), Some((t, 1)));
+        assert_eq!(q.pop_at(t), Some(2));
+        // Next event is later: pop_at must leave it alone.
+        assert_eq!(q.pop_at(t), None);
+        assert_eq!(q.len(), 1);
+        assert_eq!(q.pop(), Some((SimTime::from_secs(4), 3)));
+        assert_eq!(q.pop_at(SimTime::from_secs(9)), None);
     }
 
     #[test]
     fn reset_reuses_storage_and_rewinds() {
-        for mut q in both() {
-            q.schedule(SimTime::from_secs(5), 1);
-            q.schedule(SimTime::from_mins(99), 2);
-            q.pop();
-            q.reset();
-            assert!(q.is_empty());
-            assert_eq!(q.now(), SimTime::ZERO);
-            // Sequence restarts: FIFO ties behave like a fresh queue.
-            q.schedule(SimTime::from_secs(1), 7);
-            q.schedule(SimTime::from_secs(1), 8);
-            assert_eq!(q.pop(), Some((SimTime::from_secs(1), 7)));
-            assert_eq!(q.pop(), Some((SimTime::from_secs(1), 8)));
+        let mut q = EventQueue::new();
+        q.schedule(SimTime::from_secs(5), 1);
+        q.schedule(SimTime::from_mins(99), 2);
+        q.pop();
+        q.reset();
+        assert!(q.is_empty());
+        assert_eq!(q.now(), SimTime::ZERO);
+        // Sequence restarts: FIFO ties behave like a fresh queue.
+        q.schedule(SimTime::from_secs(1), 7);
+        q.schedule(SimTime::from_secs(1), 8);
+        assert_eq!(q.pop(), Some((SimTime::from_secs(1), 7)));
+        assert_eq!(q.pop(), Some((SimTime::from_secs(1), 8)));
+    }
+
+    /// The bare ladder with the queue's sequence numbering, so its edge
+    /// cases can be driven from the first event rather than only after
+    /// a promotion.
+    struct Ladder {
+        ladder: BucketLadder<i32>,
+        next_seq: u64,
+    }
+
+    impl Ladder {
+        fn new() -> Self {
+            Ladder {
+                ladder: BucketLadder::new(),
+                next_seq: 0,
+            }
         }
+
+        fn schedule(&mut self, at: SimTime, event: i32) {
+            self.ladder.push(Scheduled {
+                at,
+                seq: self.next_seq,
+                event,
+            });
+            self.next_seq += 1;
+        }
+
+        fn pop(&mut self) -> Option<(SimTime, i32)> {
+            self.ladder.pop().map(|s| (s.at, s.event))
+        }
+
+        fn drain(&mut self) -> Vec<i32> {
+            std::iter::from_fn(|| self.pop()).map(|(_, e)| e).collect()
+        }
+    }
+
+    #[test]
+    fn ladder_peek_does_not_disturb_order() {
+        // A peek past empty buckets must not advance the cursor: events
+        // scheduled afterwards at earlier times still pop first.
+        let mut q = Ladder::new();
+        q.schedule(SimTime::from_secs(50), 50);
+        assert_eq!(q.ladder.peek_time(), Some(SimTime::from_secs(50)));
+        q.schedule(SimTime::from_secs(2), 2);
+        assert_eq!(q.pop(), Some((SimTime::from_secs(2), 2)));
+        assert_eq!(q.pop(), Some((SimTime::from_secs(50), 50)));
+    }
+
+    #[test]
+    fn ladder_far_future_events_take_the_overflow_path() {
+        let mut q = Ladder::new();
+        // Beyond the initial window (~262 s), into overflow.
+        q.schedule(SimTime::from_mins(60), 1);
+        q.schedule(SimTime::from_mins(90), 2);
+        q.schedule(SimTime::from_secs(1), 0);
+        assert_eq!(q.ladder.len(), 3);
+        assert_eq!(q.ladder.overflow.len(), 2);
+        assert_eq!(q.drain(), vec![0, 1, 2]);
+    }
+
+    #[test]
+    fn ladder_overflow_jump_then_near_schedule_stays_ordered() {
+        let mut q = Ladder::new();
+        q.schedule(SimTime::from_mins(60), 1);
+        // Pop jumps the window out to t=60min.
+        assert_eq!(q.pop(), Some((SimTime::from_mins(60), 1)));
+        // New events near the jumped-to time interleave correctly with
+        // further far-future ones.
+        q.schedule(SimTime::from_mins(60) + SimDuration::from_millis(1), 2);
+        q.schedule(SimTime::from_mins(600), 4);
+        q.schedule(SimTime::from_mins(61), 3);
+        assert_eq!(q.drain(), vec![2, 3, 4]);
+    }
+
+    #[test]
+    fn ladder_lazy_sort_keeps_bucket_order() {
+        // Out-of-order and tied events within one 1024 ms bucket are
+        // appended unsorted and sorted when the cursor arrives; events
+        // scheduled into the bucket being drained are inserted in place.
+        let mut q = Ladder::new();
+        for (ms, e) in [(900, 3), (100, 0), (500, 1), (500, 2)] {
+            q.schedule(SimTime::from_millis(ms), e);
+        }
+        assert_eq!(q.pop(), Some((SimTime::from_millis(100), 0)));
+        q.schedule(SimTime::from_millis(500), 10);
+        q.schedule(SimTime::from_millis(200), 11);
+        assert_eq!(q.drain(), vec![11, 1, 2, 10, 3]);
+    }
+
+    #[test]
+    fn ladder_hold_model_matches_heap() {
+        // A deterministic hold model (pop one, schedule one ahead) with
+        // ties and beyond-window holds emits the same stream from the
+        // ladder as from a plain (time, seq) heap.
+        let mut ladder = Ladder::new();
+        let mut heap = BinaryHeap::new();
+        let mut seq = 0;
+        let mut schedule = |ladder: &mut Ladder, heap: &mut BinaryHeap<_>, at, event| {
+            ladder.schedule(at, event);
+            heap.push(Scheduled { at, seq, event });
+            seq += 1;
+        };
+        let mut x: u64 = 0x9E37_79B9;
+        for i in 0..64 {
+            let t = SimTime::from_millis((i as u64 * 37) % 1_000);
+            schedule(&mut ladder, &mut heap, t, i);
+        }
+        for i in 64..4_096 {
+            let (ta, a) = ladder.pop().unwrap();
+            let b = heap.pop().unwrap();
+            assert_eq!((ta, a), (b.at, b.event));
+            // Pseudo-random hold time, occasionally zero (tie) or huge
+            // (overflow path).
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            let hold = match x % 7 {
+                0 => 0,
+                1 => x % 300_000, // up to 5 sim-minutes: beyond the window
+                _ => x % 20_000,
+            };
+            schedule(
+                &mut ladder,
+                &mut heap,
+                ta + SimDuration::from_millis(hold),
+                i,
+            );
+        }
+        while let Some(a) = ladder.pop() {
+            let b = heap.pop().unwrap();
+            assert_eq!(a, (b.at, b.event));
+        }
+        assert!(heap.pop().is_none());
     }
 }

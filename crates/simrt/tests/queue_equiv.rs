@@ -1,17 +1,47 @@
-//! Property proof that the bucketed and adaptive event-queue backends
-//! are observationally identical to the `BinaryHeap` reference.
+//! Property proof that [`EventQueue`] is observationally identical to a
+//! plain `(time, seq)` binary heap.
 //!
 //! Every simulator in this workspace depends on the queue's exact
 //! `(time, payload)` stream — same-instant events must pop in schedule
-//! order — so the bucketed and adaptive backends are exercised here
-//! against the heap on randomized interleavings of schedules and pops,
-//! including heavy ties, far-future overflow events, scheduling-at-now
-//! edge cases, and (for adaptive) occupancy ramps crossing the
-//! promotion threshold mid-program.
+//! order — so the queue is exercised here against a test-local heap
+//! reference on randomized interleavings of schedules and pops,
+//! including heavy ties, far-future events (the ladder's overflow path
+//! once promoted), scheduling-at-now edge cases, occupancy ramps crossing
+//! the promotion threshold mid-program, and runs after a `reset`.
 
-use jockey_simrt::event::{EventQueue, QueueBackend};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+
+use jockey_simrt::event::EventQueue;
 use jockey_simrt::time::{SimDuration, SimTime};
 use proptest::prelude::*;
+
+/// The reference: a min-heap on `(time, seq, payload)` with the
+/// sequence assigned at schedule time, so ties pop FIFO.
+#[derive(Default)]
+struct Reference {
+    heap: BinaryHeap<Reverse<(SimTime, u64, u32)>>,
+    next_seq: u64,
+    now: SimTime,
+}
+
+impl Reference {
+    fn schedule(&mut self, at: SimTime, event: u32) {
+        assert!(at >= self.now);
+        self.heap.push(Reverse((at, self.next_seq, event)));
+        self.next_seq += 1;
+    }
+
+    fn pop(&mut self) -> Option<(SimTime, u32)> {
+        let Reverse((at, _, event)) = self.heap.pop()?;
+        self.now = at;
+        Some((at, event))
+    }
+
+    fn peek_time(&self) -> Option<SimTime> {
+        self.heap.peek().map(|Reverse((at, _, _))| *at)
+    }
+}
 
 /// One step of an interleaved workload. Schedule offsets are relative
 /// to the queue's current "now" so generated programs never violate the
@@ -36,96 +66,119 @@ fn op_strategy() -> impl Strategy<Value = Op> {
     })
 }
 
-proptest! {
-    /// Interleaved schedule/pop programs produce identical
-    /// `(time, payload)` streams on both backends, and draining the
-    /// remainder at the end agrees too.
-    #[test]
-    fn bucketed_matches_heap_on_interleaved_programs(
-        ops in proptest::collection::vec(op_strategy(), 1..400),
-    ) {
-        let mut bucketed = EventQueue::with_backend(QueueBackend::Bucketed);
-        let mut adaptive = EventQueue::with_backend(QueueBackend::Adaptive);
-        let mut heap = EventQueue::with_backend(QueueBackend::BinaryHeap);
-        let mut next_id: u32 = 0;
-        for op in &ops {
-            match *op {
-                Op::Schedule { offset_ms } => {
-                    let at = bucketed.now() + SimDuration::from_millis(offset_ms);
-                    bucketed.schedule(at, next_id);
-                    adaptive.schedule(at, next_id);
-                    heap.schedule(at, next_id);
-                    next_id += 1;
-                }
-                Op::Pop => {
-                    let a = bucketed.pop();
-                    let b = heap.pop();
-                    let c = adaptive.pop();
-                    prop_assert_eq!(a, b);
-                    prop_assert_eq!(c, b);
-                }
+/// Runs `ops` on the queue and the reference in lockstep, checking
+/// every observable after each step, then drains both.
+fn run_in_lockstep(queue: &mut EventQueue<u32>, reference: &mut Reference, ops: &[Op]) {
+    let mut next_id: u32 = 0;
+    for op in ops {
+        match *op {
+            Op::Schedule { offset_ms } => {
+                let at = queue.now() + SimDuration::from_millis(offset_ms);
+                queue.schedule(at, next_id);
+                reference.schedule(at, next_id);
+                next_id += 1;
             }
-            prop_assert_eq!(bucketed.len(), heap.len());
-            prop_assert_eq!(adaptive.len(), heap.len());
-            prop_assert_eq!(bucketed.peek_time(), heap.peek_time());
-            prop_assert_eq!(adaptive.peek_time(), heap.peek_time());
-            prop_assert_eq!(bucketed.now(), heap.now());
-            prop_assert_eq!(adaptive.now(), heap.now());
+            Op::Pop => prop_assert_eq!(queue.pop(), reference.pop()),
         }
-        // Drain whatever is left: the tails must agree element-for-element.
-        loop {
-            let a = bucketed.pop();
-            let b = heap.pop();
-            let c = adaptive.pop();
-            prop_assert_eq!(a, b);
-            prop_assert_eq!(c, b);
-            if a.is_none() {
-                break;
-            }
+        prop_assert_eq!(queue.len(), reference.heap.len());
+        prop_assert_eq!(queue.peek_time(), reference.peek_time());
+        prop_assert_eq!(queue.now(), reference.now);
+    }
+    // Drain whatever is left: the tails must agree element-for-element.
+    // A promoted queue with far-future events left over migrates them
+    // out of the overflow heap here.
+    loop {
+        let a = queue.pop();
+        prop_assert_eq!(a, reference.pop());
+        if a.is_none() {
+            return;
         }
     }
+}
 
-    /// Programs deep enough to force adaptive promotion mid-stream stay
-    /// identical to the heap reference through the representation
-    /// switch, and the switch itself is observed.
+proptest! {
+    /// Interleaved schedule/pop programs produce the reference's
+    /// `(time, payload)` stream. A prefill of up to 300 events puts some
+    /// programs past the promotion threshold before the first pop, so
+    /// both representations run the mix.
     #[test]
-    fn adaptive_promotion_preserves_the_stream(
+    fn queue_matches_reference_on_interleaved_programs(
+        prefill in proptest::collection::vec(op_strategy(), 0..300),
+        ops in proptest::collection::vec(op_strategy(), 1..400),
+    ) {
+        let mut queue = EventQueue::new();
+        let mut reference = Reference::default();
+        let program: Vec<Op> = prefill
+            .into_iter()
+            .filter(|op| matches!(op, Op::Schedule { .. }))
+            .chain(ops)
+            .collect();
+        run_in_lockstep(&mut queue, &mut reference, &program);
+    }
+
+    /// Programs deep enough to force promotion mid-stream stay identical
+    /// to the reference through the representation switch, and the
+    /// switch itself is observed.
+    #[test]
+    fn promotion_preserves_the_stream(
         depth in 150_usize..400,
         offsets in proptest::collection::vec(0_u64..30_000, 600..900),
     ) {
-        let mut adaptive = EventQueue::with_backend(QueueBackend::Adaptive);
-        let mut heap = EventQueue::with_backend(QueueBackend::BinaryHeap);
+        let mut queue = EventQueue::new();
+        let mut reference = Reference::default();
         for (i, &off) in offsets.iter().enumerate() {
-            let at = adaptive.now() + SimDuration::from_millis(off);
+            let at = queue.now() + SimDuration::from_millis(off);
             let id = i as u32;
-            adaptive.schedule(at, id);
-            heap.schedule(at, id);
+            queue.schedule(at, id);
+            reference.schedule(at, id);
             // Hold the queue near `depth` pending events.
             if i >= depth {
-                prop_assert_eq!(adaptive.pop(), heap.pop());
+                prop_assert_eq!(queue.pop(), reference.pop());
             }
         }
-        prop_assert!(adaptive.is_promoted());
+        prop_assert!(queue.is_promoted());
         loop {
-            let a = adaptive.pop();
-            let b = heap.pop();
-            prop_assert_eq!(a, b);
+            let a = queue.pop();
+            prop_assert_eq!(a, reference.pop());
             if a.is_none() {
                 break;
             }
         }
     }
 
-    /// Bursts of same-instant events pop FIFO on the bucketed backend,
-    /// even when interleaved with pops and re-schedules at the popped
-    /// time.
+    /// After a run that promoted, `reset` demotes and the queue replays
+    /// a second program exactly like a fresh one: "now" is back at zero
+    /// and the pending events of the first run are gone.
+    #[test]
+    fn reset_demotes_and_replays_like_a_fresh_queue(
+        first in proptest::collection::vec(0_u64..3_000_000, 128..300),
+        ops in proptest::collection::vec(op_strategy(), 1..400),
+    ) {
+        let mut queue = EventQueue::new();
+        for (i, &at) in first.iter().enumerate() {
+            queue.schedule(SimTime::from_millis(at), i as u32);
+        }
+        prop_assert!(queue.is_promoted());
+        // Leave part of the first run pending: reset must drop it.
+        for _ in 0..first.len() / 2 {
+            queue.pop();
+        }
+        queue.reset();
+        prop_assert!(!queue.is_promoted());
+        prop_assert!(queue.is_empty());
+        prop_assert_eq!(queue.now(), SimTime::ZERO);
+        run_in_lockstep(&mut queue, &mut Reference::default(), &ops);
+    }
+
+    /// Bursts of same-instant events pop FIFO, in the heap and after
+    /// promotion, even when interleaved with later bursts.
     #[test]
     fn same_instant_bursts_pop_fifo(
-        burst_sizes in proptest::collection::vec(1_usize..20, 1..20),
+        burst_sizes in proptest::collection::vec(1_usize..40, 1..20),
         gap_ms in 0_u64..2_000,
     ) {
-        let mut q = EventQueue::with_backend(QueueBackend::Bucketed);
-        let mut reference = EventQueue::with_backend(QueueBackend::BinaryHeap);
+        let mut q = EventQueue::new();
+        let mut reference = Reference::default();
         let mut id: u32 = 0;
         let mut t = SimTime::ZERO;
         for &n in &burst_sizes {
@@ -147,30 +200,34 @@ proptest! {
         prop_assert_eq!(popped, id as usize);
     }
 
-    /// Both backends reject scheduling before the last popped time, and
-    /// accept scheduling exactly at it.
+    /// The queue rejects scheduling before the last popped time and
+    /// accepts scheduling exactly at it, both before and after
+    /// promotion.
     #[test]
-    fn past_rejection_matches_on_both_backends(
+    fn past_rejection_holds_in_both_representations(
         first_ms in 1_u64..1_000_000,
         behind_ms in 1_u64..1_000,
     ) {
-        for backend in [
-            QueueBackend::Bucketed,
-            QueueBackend::BinaryHeap,
-            QueueBackend::Adaptive,
-        ] {
-            let mut q = EventQueue::with_backend(backend);
-            q.schedule(SimTime::from_millis(first_ms), 0_u8);
+        for promoted in [false, true] {
+            let mut q = EventQueue::new();
+            let pending = if promoted { EventQueue::<u8>::ADAPTIVE_PROMOTE_LEN } else { 1 };
+            for _ in 0..pending {
+                q.schedule(SimTime::from_millis(first_ms), 0_u8);
+            }
+            prop_assert_eq!(q.is_promoted(), promoted);
             q.pop();
-            // Exactly at now: allowed.
+            // Exactly at now: allowed, and FIFO behind the pending ties.
             q.schedule(q.now(), 1);
+            for _ in 1..pending {
+                prop_assert_eq!(q.pop(), Some((SimTime::from_millis(first_ms), 0)));
+            }
             prop_assert_eq!(q.pop(), Some((SimTime::from_millis(first_ms), 1)));
             // Strictly before now: rejected by panic.
             let at = SimTime::from_millis(first_ms.saturating_sub(behind_ms));
             let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 q.schedule(at, 2);
             }));
-            prop_assert!(result.is_err(), "backend {backend:?} accepted a past event");
+            prop_assert!(result.is_err(), "promoted={promoted} accepted a past event");
         }
     }
 }

@@ -87,6 +87,13 @@ fn service_run_conserves_jobs_and_drains_the_plane() {
     // fleet must both drain to zero (the slot-leak regression).
     assert_eq!(report.final_reserved, 0, "leaked reservations");
     assert_eq!(report.final_active, 0, "leaked active jobs");
+    // Admission reserves before it registers, so no refresh ever finds
+    // the guaranteed demand above the budget.
+    assert_eq!(
+        report.stats.over_committed_rounds, 0,
+        "admission-guarded plane over-committed: {:?}",
+        report.stats
+    );
 
     // The slot table is bounded by peak concurrency, not total jobs.
     assert!(
